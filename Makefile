@@ -141,7 +141,7 @@ bench-compare:
 # host's parallel capacity, which shared runners do not hold constant
 # (observed ~2x window-to-window swings); measure them with bench-compare
 # instead.
-BENCH_ENGINES = IdleOpenLoopLowLoad|IdleBatchTail|AnalyticCurve
+BENCH_ENGINES = IdleOpenLoopLowLoad|IdleBatchTail|AnalyticCurve|NetworkThroughput
 TOLERANCE ?= 0.15
 
 # Performance gate: run the engine benchmarks, archive the JSON, and fail

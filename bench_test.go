@@ -456,9 +456,9 @@ func BenchmarkTable4_BenchmarkCharacteristics(b *testing.B) {
 	b.ReportMetric(static, "static-kernel-fraction")
 }
 
-// BenchmarkNetworkThroughput measures raw simulator speed: cycles per
-// second on a saturated 8x8 mesh (not a paper figure; a performance
-// baseline for the simulator itself).
+// BenchmarkNetworkThroughput measures raw simulator speed: cycles and
+// router-cycles per second, and allocations, on a heavily loaded 8x8 mesh
+// (not a paper figure; a performance baseline for the simulator itself).
 func BenchmarkNetworkThroughput(b *testing.B) {
 	p := core.Baseline()
 	cfg, err := p.Build()
@@ -467,6 +467,7 @@ func BenchmarkNetworkThroughput(b *testing.B) {
 	}
 	pat, _ := p.BuildPattern()
 	sizes, _ := p.BuildSizes()
+	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
@@ -477,10 +478,10 @@ func BenchmarkNetworkThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles += 2500
-		_ = res
+		cycles += res.EndCycle
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
+	b.ReportMetric(float64(cycles)*float64(cfg.Topo.N)/b.Elapsed().Seconds(), "router-cycles/s")
 }
 
 // benchIdleOpenLoop runs an open-loop measurement at ~5% of the 8x8 mesh's
@@ -506,8 +507,7 @@ func benchIdleOpenLoop(b *testing.B, fullScan bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles += 5500
-		_ = res
+		cycles += res.EndCycle
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 }
@@ -589,8 +589,7 @@ func benchShardScaling(b *testing.B, shards int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles += 2500
-		_ = res
+		cycles += res.EndCycle
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 }

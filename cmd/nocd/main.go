@@ -80,6 +80,13 @@ func main() {
 		Queue:      *queue,
 		JobTimeout: *jobTimeout,
 	})
+	// Install the signal handler before the address is announced and
+	// /healthz answers: a supervisor may send SIGTERM as soon as the server
+	// looks healthy, and that signal must start a drain, not kill the
+	// process with the default action.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -89,8 +96,6 @@ func main() {
 	fmt.Printf("nocd listening on http://%s\n", ln.Addr())
 	go httpSrv.Serve(ln)
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "nocd: draining — accepted jobs will finish (signal again to abort)")
 	drained := make(chan struct{})

@@ -2,6 +2,7 @@ package noceval
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -20,37 +21,111 @@ import (
 // what the simulation computes.
 
 func TestOpenLoopActiveSetDeterminism(t *testing.T) {
-	p := core.Baseline()
-	p.Shards = core.EnvShards() // CI matrix re-runs the gate at 1, 2, 4 shards
-	cfg, err := p.Build()
-	if err != nil {
-		t.Fatal(err)
+	// The low-load leg exercises activity tracking; the knee legs keep most
+	// routers busy, where the router's mask paths (route-compute mask,
+	// stage-2 requester masks, free-listed packets) carry the load. The
+	// age-based 2-class leg takes the strict-priority scans instead.
+	base := core.Baseline()
+	strictAge := core.Baseline()
+	strictAge.VCs = 4
+	strictAge.Arb = "age"
+	strictAge.Classes = []core.ClassSpec{
+		{Name: "hi", Share: 0.3},
+		{Name: "lo", Share: 0.7, Sizes: "bimodal"},
 	}
-	pat, _ := p.BuildPattern()
-	sizes, _ := p.BuildSizes()
+	legs := []struct {
+		name string
+		p    core.NetworkParams
+		rate float64
+	}{
+		{"load=0.10", base, 0.1},
+		{"load=0.40", base, 0.40},
+		{"age-strict-2class/load=0.40", strictAge, 0.40},
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			p := leg.p
+			p.Shards = core.EnvShards() // CI matrix re-runs the gate at 1, 2, 4 shards
+			cfg, err := p.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pat, _ := p.BuildPattern()
+			sizes, _ := p.BuildSizes()
+			classes, err := p.BuildClasses()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	run := func(fullScan bool) (*openloop.Result, *obs.Telemetry) {
-		o := obs.NewObserver(obs.Options{Metrics: true, SampleEvery: 250})
-		res, err := openloop.Run(openloop.Config{
-			Net: cfg, Pattern: pat, Sizes: sizes, Rate: 0.1,
-			Warmup: 500, Measure: 2000, DrainLimit: 10000, Seed: 42,
-			Obs: o, FullScan: fullScan,
+			run := func(fullScan bool) (*openloop.Result, *obs.Telemetry) {
+				o := obs.NewObserver(obs.Options{Metrics: true, SampleEvery: 250})
+				res, err := openloop.Run(openloop.Config{
+					Net: cfg, Pattern: pat, Sizes: sizes, Classes: classes, Rate: leg.rate,
+					Warmup: 500, Measure: 2000, DrainLimit: 10000, Seed: 42,
+					Obs: o, FullScan: fullScan,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, o.Telemetry
+			}
+
+			resFull, telFull := run(true)
+			resActive, telActive := run(false)
+
+			if !reflect.DeepEqual(resFull, resActive) {
+				t.Errorf("open-loop results diverge:\nfullscan:  %+v\nactiveset: %+v", resFull, resActive)
+			}
+			if !reflect.DeepEqual(telFull, telActive) {
+				t.Errorf("open-loop telemetry diverges: fullscan %d router / %d node samples, activeset %d / %d",
+					len(telFull.Routers), len(telFull.Nodes), len(telActive.Routers), len(telActive.Nodes))
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, o.Telemetry
 	}
+}
 
-	resFull, telFull := run(true)
-	resActive, telActive := run(false)
-
-	if !reflect.DeepEqual(resFull, resActive) {
-		t.Errorf("open-loop results diverge:\nfullscan:  %+v\nactiveset: %+v", resFull, resActive)
+// TestOpenLoopKneePinnedDeterminism pins three open-loop runs at the 8x8 knee (load
+// 0.40, the repository benchmark's phases) to figures recorded before the
+// router state was flattened and packets were recycled: end cycle,
+// delivered packets, and the exact bits of the mean latency. Any change to
+// allocation order, packet identity, or RNG draw order moves at least one.
+func TestOpenLoopKneePinnedDeterminism(t *testing.T) {
+	pins := []struct {
+		seed      uint64
+		endCycle  int64
+		delivered int64
+		avgBits   uint64
+	}{
+		{1, 3069, 77747, 0x403846d07b2c424d},
+		{2, 3108, 78791, 0x4038750d32327261},
+		{3, 3083, 78206, 0x4038b07ae3207d88},
 	}
-	if !reflect.DeepEqual(telFull, telActive) {
-		t.Errorf("open-loop telemetry diverges: fullscan %d router / %d node samples, activeset %d / %d",
-			len(telFull.Routers), len(telFull.Nodes), len(telActive.Routers), len(telActive.Nodes))
+	for _, pin := range pins {
+		t.Run(fmt.Sprintf("seed=%d", pin.seed), func(t *testing.T) {
+			p := core.Baseline()
+			p.Seed = pin.seed
+			cfg, err := p.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pat, _ := p.BuildPattern()
+			sizes, _ := p.BuildSizes()
+			var delivered int64
+			res, err := openloop.Run(openloop.Config{
+				Net: cfg, Pattern: pat, Sizes: sizes, Rate: 0.40,
+				Warmup: 1000, Measure: 2000, DrainLimit: 20000, Seed: p.Seed,
+				Inspect: func(n *network.Network) { _, delivered, _, _ = n.Stats() },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.EndCycle != pin.endCycle || delivered != pin.delivered ||
+				math.Float64bits(res.AvgLatency) != pin.avgBits {
+				t.Errorf("knee run moved: end cycle %d, delivered %d, mean latency %v (%#x); want %d, %d, %v (%#x)",
+					res.EndCycle, delivered, res.AvgLatency, math.Float64bits(res.AvgLatency),
+					pin.endCycle, pin.delivered, math.Float64frombits(pin.avgBits), pin.avgBits)
+			}
+		})
 	}
 }
 

@@ -91,7 +91,10 @@ func RunBarrier(cfg BarrierConfig) (*BarrierResult, error) {
 
 	res := &BarrierResult{}
 	d := &barrierDriver{cfg: &cfg, net: net, rng: rng, n: n, res: res, sent: make([]int, n)}
-	net.OnReceive = func(now int64, p *router.Packet) { d.arrived++ }
+	net.OnReceive = func(now int64, p *router.Packet) {
+		d.arrived++
+		net.Release(p)
+	}
 	// An abandoned packet will never arrive: count it toward the barrier so
 	// the phase completes (degraded) instead of spinning to MaxCycles.
 	net.OnDeadDrop = func(now int64, p *router.Packet) {

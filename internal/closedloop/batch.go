@@ -472,6 +472,7 @@ func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 				d.finished++
 			}
 		}
+		net.Release(p)
 	}
 	// A transaction whose request or reply the NIC abandons will never see
 	// its reply: close it as failed so the requester's MSHR slot frees and

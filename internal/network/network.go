@@ -95,6 +95,10 @@ type Network struct {
 	nic    *fault.NIC
 
 	nextPacketID uint64
+	// freePkts holds packets handed back through Release, reused by
+	// NewPacket. Both run only in serial phases (driver cycles and receive
+	// callbacks), so the list needs no lock even on the sharded path.
+	freePkts []*router.Packet
 
 	// Activity tracking, kept per spatial tile. Each tile owns a bitset
 	// over its contiguous router range with bit b set exactly when router
@@ -426,11 +430,20 @@ func (n *Network) Nodes() int { return n.cfg.Topo.N }
 
 // NewPacket allocates a packet from src to dst with the given flit count
 // and kind, stamps its creation time, and prepares its routing state
-// (including the intermediate node for two-phase algorithms).
+// (including the intermediate node for two-phase algorithms). It reuses a
+// packet handed back through Release when one is available, overwriting
+// every field.
 func (n *Network) NewPacket(src, dst, size int, kind router.Kind) *router.Packet {
 	n.nextPacketID++
 	mid := n.cfg.Routing.PickIntermediate(n.cfg.Topo, n.rng, src, dst)
-	p := &router.Packet{
+	var p *router.Packet
+	if k := len(n.freePkts); k > 0 {
+		p = n.freePkts[k-1]
+		n.freePkts = n.freePkts[:k-1]
+	} else {
+		p = new(router.Packet)
+	}
+	*p = router.Packet{
 		ID:         n.nextPacketID,
 		Src:        src,
 		Dst:        dst,
@@ -443,6 +456,18 @@ func (n *Network) NewPacket(src, dst, size int, kind router.Kind) *router.Packet
 	}
 	p.Route.ArriveAt(src) // an intermediate equal to the source is a no-op phase
 	return p
+}
+
+// Release hands a packet back for reuse by NewPacket. The caller must be
+// done with it: its tail has arrived (Release is meant for the end of an
+// OnReceive callback) and no reference to it survives the call. While the
+// recovery NIC is armed Release does nothing, because the NIC keeps packet
+// pointers for retransmission and duplicate detection past arrival.
+func (n *Network) Release(p *router.Packet) {
+	if n.nic != nil {
+		return
+	}
+	n.freePkts = append(n.freePkts, p)
 }
 
 // Send queues the packet's flits at its source terminal. The packet will be
@@ -470,8 +495,8 @@ func (n *Network) send(p *router.Packet) {
 		return
 	}
 	q := n.srcQ[p.Src][n.clampClass(p.Class)]
-	for _, f := range router.Flits(p) {
-		q.Push(f)
+	for i := 0; i < p.Size; i++ {
+		q.Push(router.Flit{P: p, Seq: int32(i)})
 	}
 	t := &n.tiles[n.tileOf[p.Src]]
 	bit := p.Src - t.lo

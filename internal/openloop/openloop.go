@@ -272,6 +272,89 @@ func (d *driver) NextEvent(int64) int64 { return engine.NoEvent }
 
 // Run executes one open-loop simulation.
 func Run(cfg Config) (*Result, error) {
+	s, err := newRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = s.cfg
+	net := s.net
+	eo := engine.RunOutcome(engine.Config{
+		Net:      net,
+		Ctx:      cfg.Ctx,
+		Deadline: s.drainFrom + cfg.DrainLimit,
+		Progress: cfg.Progress,
+		// During warmup and measurement the run length is known exactly;
+		// in the drain phase only the abort bound is, so ETAs report the
+		// worst case instead of a horizon the run has already passed.
+		Horizon: func(now int64) int64 {
+			if now <= s.drainFrom {
+				return s.drainFrom
+			}
+			return s.drainFrom + cfg.DrainLimit
+		},
+		FullScan: cfg.FullScan,
+	}, s.d)
+	if cfg.OnEngine != nil {
+		cfg.OnEngine(eo)
+	}
+	if eo.Canceled {
+		// The run was abandoned mid-flight: no phase completed, so there is
+		// no partial result worth reporting (or caching).
+		net.Close()
+		return nil, fmt.Errorf("openloop: run canceled at cycle %d: %w", eo.End, context.Cause(cfg.Ctx))
+	}
+	if !eo.Completed {
+		cfg.Progress.Note(net.Now(), "drain aborted at DrainLimit (%d cycles) with %d tagged packets outstanding",
+			cfg.DrainLimit, s.outstanding)
+	}
+	res := s.result(eo.Completed)
+	if cfg.Inspect != nil {
+		cfg.Inspect(net)
+	}
+	net.Close()
+	cfg.Progress.Done(net.Now())
+	return res, nil
+}
+
+// run is one open-loop simulation wired up and ready to step: the network,
+// its driver, and the receive-side accumulators the result is built from.
+type run struct {
+	cfg Config
+	net *network.Network
+	d   *driver
+
+	// The three-phase schedule in absolute cycles: warmup [0, measureFrom),
+	// measurement [measureFrom, drainFrom), drain [drainFrom, ...). Packets
+	// are tagged by injection cycle and counted by arrival cycle.
+	measureFrom, drainFrom int64
+
+	// latencies keeps every measured packet's latency for the percentiles
+	// and the batch-means CI; the network-latency and hop means need only
+	// running sums, accumulated in arrival order exactly as stats.Mean
+	// would sum the samples.
+	latencies    []float64
+	netLatSum    float64
+	hopsSum      float64
+	perNodeSum   []float64
+	perNodeCnt   []int
+	outstanding  int
+	ejectedFlits int64
+	lostPackets  int
+
+	// Per-class accounting, allocated only for multi-class runs so the
+	// classic path's receive callback stays unchanged.
+	classLat   [][]float64
+	classEject []int64
+	classDeliv []int64
+
+	latencyHist *obs.Histogram
+	measuredCtr *obs.Counter
+	classHists  []*obs.Histogram
+}
+
+// newRun validates cfg, builds the network and driver, and wires the
+// receive callbacks.
+func newRun(cfg Config) (*run, error) {
 	cfg.fillDefaults()
 	var proc traffic.Process
 	switch {
@@ -310,99 +393,47 @@ func Run(cfg Config) (*Result, error) {
 	}
 	net := network.New(cfg.Net)
 	n := net.Nodes()
-	rng := sim.NewRNG(cfg.Seed ^ 0x9e3779b97f4a7c15)
+	s := &run{
+		net:         net,
+		measureFrom: cfg.Warmup,
+		drainFrom:   cfg.Warmup + cfg.Measure,
+		perNodeSum:  make([]float64, n),
+		perNodeCnt:  make([]int, n),
+	}
 
 	net.AttachObserver(cfg.Obs)
-	var latencyHist *obs.Histogram
-	var measuredCtr *obs.Counter
-	var classHists []*obs.Histogram
 	if cfg.Obs != nil {
-		latencyHist = cfg.Obs.Registry.Histogram("openloop.packet_latency_cycles", 0, 1024, 64)
-		measuredCtr = cfg.Obs.Registry.Counter("openloop.measured_packets")
+		s.latencyHist = cfg.Obs.Registry.Histogram("openloop.packet_latency_cycles", 0, 1024, 64)
+		s.measuredCtr = cfg.Obs.Registry.Counter("openloop.measured_packets")
 		if len(cfg.Classes) > 0 {
-			classHists = make([]*obs.Histogram, len(cfg.Classes))
+			s.classHists = make([]*obs.Histogram, len(cfg.Classes))
 			for i, cl := range cfg.Classes {
-				classHists[i] = cfg.Obs.Registry.Histogram(
+				s.classHists[i] = cfg.Obs.Registry.Histogram(
 					"openloop.class."+cl.Name+".latency_cycles", 0, 1024, 64)
 			}
 		}
 	}
-
-	var (
-		latencies    []float64
-		netLatencies []float64
-		hops         []float64
-		perNodeSum   = make([]float64, n)
-		perNodeCnt   = make([]int, n)
-		outstanding  int
-		ejectedFlits int64
-		lostPackets  int
-
-		// Per-class accounting, allocated only for multi-class runs so the
-		// classic path's receive callback stays unchanged.
-		classLat   [][]float64
-		classEject []int64
-		classDeliv []int64
-	)
 	if C := len(cfg.Classes); C > 0 {
-		classLat = make([][]float64, C)
-		classEject = make([]int64, C)
-		classDeliv = make([]int64, C)
+		s.classLat = make([][]float64, C)
+		s.classEject = make([]int64, C)
+		s.classDeliv = make([]int64, C)
 	}
-	// The three-phase schedule in absolute cycles: warmup [0, measureFrom),
-	// measurement [measureFrom, drainFrom), drain [drainFrom, ...). Packets
-	// are tagged by injection cycle and counted by arrival cycle, exactly
-	// as the phase flags of the old hand-rolled loop did.
-	measureFrom := cfg.Warmup
-	drainFrom := cfg.Warmup + cfg.Measure
-	net.OnReceive = func(now int64, p *router.Packet) {
-		inWindow := now >= measureFrom && now < drainFrom
-		if inWindow {
-			ejectedFlits += int64(p.Size)
-		}
-		if classEject != nil {
-			qc := p.Class
-			if qc < 0 || qc >= len(classEject) {
-				qc = len(classEject) - 1
-			}
-			if inWindow {
-				classEject[qc] += int64(p.Size)
-				classDeliv[qc]++
-			}
-			if p.Measured {
-				classLat[qc] = append(classLat[qc], float64(p.Latency()))
-				if classHists != nil {
-					classHists[qc].Observe(float64(p.Latency()))
-				}
-			}
-		}
-		if !p.Measured {
-			return
-		}
-		l := float64(p.Latency())
-		latencyHist.Observe(l)
-		measuredCtr.Inc()
-		latencies = append(latencies, l)
-		netLatencies = append(netLatencies, float64(p.NetworkLatency()))
-		hops = append(hops, float64(p.Hops))
-		perNodeSum[p.Src] += l
-		perNodeCnt[p.Src]++
-		outstanding--
-	}
+	net.OnReceive = s.receive
 	// A tagged packet the NIC gives up on will never arrive; account it so
 	// the drain phase can still complete and the loss shows in the result.
 	net.OnDeadDrop = func(now int64, p *router.Packet) {
 		if p.Measured {
-			outstanding--
-			lostPackets++
+			s.outstanding--
+			s.lostPackets++
 		}
 	}
 
 	net.SetFullScan(cfg.FullScan)
+	s.cfg = cfg
 	d := &driver{
-		cfg: &cfg, net: net, rng: rng, proc: proc, n: n,
-		measureFrom: measureFrom, drainFrom: drainFrom,
-		outstanding: &outstanding,
+		cfg: &s.cfg, net: net, rng: sim.NewRNG(cfg.Seed ^ 0x9e3779b97f4a7c15), proc: proc, n: n,
+		measureFrom: s.measureFrom, drainFrom: s.drainFrom,
+		outstanding: &s.outstanding,
 		bernProb:    -1,
 	}
 	if len(cfg.Classes) > 0 {
@@ -415,57 +446,72 @@ func Run(cfg Config) (*Result, error) {
 	} else if b, ok := proc.(traffic.Bernoulli); ok {
 		d.bernProb = b.Rate / b.Sizes.Mean()
 	}
-	eo := engine.RunOutcome(engine.Config{
-		Net:      net,
-		Ctx:      cfg.Ctx,
-		Deadline: drainFrom + cfg.DrainLimit,
-		Progress: cfg.Progress,
-		// During warmup and measurement the run length is known exactly;
-		// in the drain phase only the abort bound is, so ETAs report the
-		// worst case instead of a horizon the run has already passed.
-		Horizon: func(now int64) int64 {
-			if now <= drainFrom {
-				return drainFrom
-			}
-			return drainFrom + cfg.DrainLimit
-		},
-		FullScan: cfg.FullScan,
-	}, d)
-	stable := eo.Completed
-	if cfg.OnEngine != nil {
-		cfg.OnEngine(eo)
-	}
-	if eo.Canceled {
-		// The run was abandoned mid-flight: no phase completed, so there is
-		// no partial result worth reporting (or caching).
-		net.Close()
-		return nil, fmt.Errorf("openloop: run canceled at cycle %d: %w", eo.End, context.Cause(cfg.Ctx))
-	}
-	if !stable {
-		cfg.Progress.Note(net.Now(), "drain aborted at DrainLimit (%d cycles) with %d tagged packets outstanding",
-			cfg.DrainLimit, outstanding)
-	}
-	measureCycles := cfg.Measure
+	s.d = d
+	return s, nil
+}
 
+// receive is the network's OnReceive callback. It copies what the result
+// needs out of the packet and hands the packet back for reuse.
+func (s *run) receive(now int64, p *router.Packet) {
+	inWindow := now >= s.measureFrom && now < s.drainFrom
+	if inWindow {
+		s.ejectedFlits += int64(p.Size)
+	}
+	if s.classEject != nil {
+		qc := p.Class
+		if qc < 0 || qc >= len(s.classEject) {
+			qc = len(s.classEject) - 1
+		}
+		if inWindow {
+			s.classEject[qc] += int64(p.Size)
+			s.classDeliv[qc]++
+		}
+		if p.Measured {
+			s.classLat[qc] = append(s.classLat[qc], float64(p.Latency()))
+			if s.classHists != nil {
+				s.classHists[qc].Observe(float64(p.Latency()))
+			}
+		}
+	}
+	if p.Measured {
+		l := float64(p.Latency())
+		s.latencyHist.Observe(l)
+		s.measuredCtr.Inc()
+		s.latencies = append(s.latencies, l)
+		s.netLatSum += float64(p.NetworkLatency())
+		s.hopsSum += float64(p.Hops)
+		s.perNodeSum[p.Src] += l
+		s.perNodeCnt[p.Src]++
+		s.outstanding--
+	}
+	s.net.Release(p)
+}
+
+// result summarizes the finished run; stable is whether the drain phase
+// completed.
+func (s *run) result(stable bool) *Result {
+	cfg := &s.cfg
+	n := s.net.Nodes()
+	measureCycles := cfg.Measure
 	res := &Result{
 		Rate:            cfg.Rate,
 		Stable:          stable,
-		MeasuredPackets: len(latencies),
-		EndCycle:        net.Now(),
+		MeasuredPackets: len(s.latencies),
+		EndCycle:        s.net.Now(),
 		PerNodeAvg:      make([]float64, n),
 	}
-	if len(latencies) > 0 {
-		sum := stats.Summarize(latencies)
+	if k := len(s.latencies); k > 0 {
+		sum := stats.Summarize(s.latencies)
 		res.AvgLatency = sum.Mean
-		res.LatencyCI95 = stats.BatchMeansCI95(latencies, 10)
+		res.LatencyCI95 = stats.BatchMeansCI95(s.latencies, 10)
 		res.P95, res.P99 = sum.P95, sum.P99
-		res.AvgNetLatency = stats.Mean(netLatencies)
-		res.AvgHops = stats.Mean(hops)
+		res.AvgNetLatency = s.netLatSum / float64(k)
+		res.AvgHops = s.hopsSum / float64(k)
 	}
 	worst := 0.0
 	for i := 0; i < n; i++ {
-		if perNodeCnt[i] > 0 {
-			res.PerNodeAvg[i] = perNodeSum[i] / float64(perNodeCnt[i])
+		if s.perNodeCnt[i] > 0 {
+			res.PerNodeAvg[i] = s.perNodeSum[i] / float64(s.perNodeCnt[i])
 		}
 		if res.PerNodeAvg[i] > worst {
 			worst = res.PerNodeAvg[i]
@@ -473,20 +519,20 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.WorstLatency = worst
 	if measureCycles > 0 {
-		res.Accepted = float64(ejectedFlits) / float64(measureCycles) / float64(n)
+		res.Accepted = float64(s.ejectedFlits) / float64(measureCycles) / float64(n)
 	}
 	if C := len(cfg.Classes); C > 0 {
 		res.PerClass = make([]ClassResult, C)
-		sums := stats.SummarizeClasses(classLat)
+		sums := stats.SummarizeClasses(s.classLat)
 		for i, cl := range cfg.Classes {
 			cr := ClassResult{
 				Name: cl.Name, Share: cl.Share, Rate: cfg.Rate * cl.Share,
-				Injected: d.classInjected[i], Delivered: classDeliv[i],
+				Injected: s.d.classInjected[i], Delivered: s.classDeliv[i],
 				MeasuredPackets: sums[i].N,
 				AvgLatency:      sums[i].Mean, P95: sums[i].P95, P99: sums[i].P99,
 			}
 			if measureCycles > 0 {
-				cr.Accepted = float64(classEject[i]) / float64(measureCycles) / float64(n)
+				cr.Accepted = float64(s.classEject[i]) / float64(measureCycles) / float64(n)
 			}
 			res.PerClass[i] = cr
 		}
@@ -498,19 +544,14 @@ func Run(cfg Config) (*Result, error) {
 	if res.Accepted < 0.9*cfg.Rate {
 		res.Stable = false
 	}
-	res.LostPackets = lostPackets
-	if fs := net.FaultStats(); fs != nil {
-		if total := len(latencies) + lostPackets; total > 0 {
-			fs.DeliveredFraction = float64(len(latencies)) / float64(total)
+	res.LostPackets = s.lostPackets
+	if fs := s.net.FaultStats(); fs != nil {
+		if total := len(s.latencies) + s.lostPackets; total > 0 {
+			fs.DeliveredFraction = float64(len(s.latencies)) / float64(total)
 		}
 		res.Faults = fs
 	}
-	if cfg.Inspect != nil {
-		cfg.Inspect(net)
-	}
-	net.Close()
-	cfg.Progress.Done(net.Now())
-	return res, nil
+	return res
 }
 
 // Sweep runs the load sweep producing a latency-vs-offered-load curve

@@ -115,16 +115,17 @@ func (c Config) Validate(t *topology.Topology, alg routing.Algorithm) error {
 	return nil
 }
 
-// inVC is one input virtual channel: a bounded flit FIFO plus the
-// allocation state of the packet currently at its front.
+// inVC is one input virtual channel: a bounded flit FIFO, embedded by
+// value so the allocators reach the front flit without a pointer hop, plus
+// the allocation state of the packet currently at its front.
 type inVC struct {
-	buf      *sim.FIFO[Flit]
+	buf      sim.FIFO[Flit]
 	routed   bool
-	cands    []routing.Candidate
 	granted  bool
 	outPort  int
 	outVC    int
 	outClass int // routing class of the granted output VC
+	cands    []routing.Candidate
 }
 
 // reset clears the front packet's allocation after its tail departs.
@@ -140,6 +141,9 @@ type outVC struct {
 	owned   bool
 	credits int
 }
+
+// vcRange is a half-open VC index range [lo, hi).
+type vcRange struct{ lo, hi int }
 
 // upstreamRef identifies who to send credits to when a flit leaves one of
 // our input buffers.
@@ -160,6 +164,7 @@ type Router struct {
 	alg   routing.Algorithm
 	cfg   Config
 	ports int
+	local int // the topology's local (injection/ejection) port
 	// numClasses caches alg.NumClasses(topo); classRange sits on the
 	// per-candidate routing path and must not pay an interface call.
 	numClasses int
@@ -180,8 +185,14 @@ type Router struct {
 	// belongs to class c, for the bitmask allocator paths.
 	qosMasks []uint64
 
-	in  [][]*inVC
-	out [][]outVC
+	// in and out hold the per-(port, VC) state in one contiguous slice
+	// each, indexed p*VCs+v — the same flat index the state bitmasks use.
+	in  []inVC
+	out []outVC
+	// vcRanges caches classRange: entry qc*(numClasses+1)+class+1 is QoS
+	// class qc's VC slice for routing class class (AnyClass at +0), so VC
+	// allocation does no divides per candidate.
+	vcRanges []vcRange
 
 	// pipes[p] models the router pipeline plus the outgoing link of output
 	// port p: SA winners land here and emerge tr+linkDelay cycles later
@@ -255,7 +266,11 @@ type Router struct {
 	saInWin    []int // per input port: winning VC index or -1
 	saInMatch  []bool
 	saOutMatch []bool
-	vaScratch  []int
+	// saReq[outP] collects, during the mask path's stage 1, the input ports
+	// whose nomination targets output outP; stage 2 picks from it directly.
+	saReq     []uint64
+	vaScratch []int
+	vaReqs    []vaReq
 
 	// Stats.
 	FlitsRouted int64
@@ -288,8 +303,8 @@ func New(id int, t *topology.Topology, alg routing.Algorithm, cfg Config) *Route
 		alg:         alg,
 		cfg:         cfg,
 		ports:       ports,
-		in:          make([][]*inVC, ports),
-		out:         make([][]outVC, ports),
+		in:          make([]inVC, ports*cfg.VCs),
+		out:         make([]outVC, ports*cfg.VCs),
 		pipes:       make([]*sim.DelayLine[Flit], ports),
 		creditPipes: make([]*sim.DelayLine[int], ports),
 		up:          make([]upstreamRef, ports),
@@ -298,9 +313,11 @@ func New(id int, t *topology.Topology, alg routing.Algorithm, cfg Config) *Route
 		saInWin:     make([]int, ports),
 		saInMatch:   make([]bool, ports),
 		saOutMatch:  make([]bool, ports),
+		saReq:       make([]uint64, ports),
 		portFlits:   make([]int64, ports),
 	}
 	r.maskHot = ports*cfg.VCs <= 64
+	r.local = t.LocalPort()
 	r.numClasses = alg.NumClasses(t)
 	r.qos = cfg.Classes
 	if r.qos < 1 {
@@ -318,24 +335,29 @@ func New(id int, t *topology.Topology, alg routing.Algorithm, cfg Config) *Route
 			}
 		}
 	}
-	local := t.LocalPort()
+	r.vcRanges = make([]vcRange, 0, r.qos*(r.numClasses+1))
+	for qc := 0; qc < r.qos; qc++ {
+		for class := routing.AnyClass; class < r.numClasses; class++ {
+			lo, hi := r.classRange(qc, class)
+			r.vcRanges = append(r.vcRanges, vcRange{lo, hi})
+		}
+	}
 	for p := 0; p < ports; p++ {
-		r.in[p] = make([]*inVC, cfg.VCs)
-		r.out[p] = make([]outVC, cfg.VCs)
+		outs := r.out[p*cfg.VCs : (p+1)*cfg.VCs]
 		for v := 0; v < cfg.VCs; v++ {
-			r.in[p][v] = &inVC{buf: sim.NewBoundedFIFO[Flit](cfg.BufDepth)}
+			r.in[p*cfg.VCs+v].buf = sim.MakeBoundedFIFO[Flit](cfg.BufDepth)
 		}
 		switch {
-		case p == local:
-			for v := range r.out[p] {
-				r.out[p][v].credits = ejectionCredits
+		case p == r.local:
+			for v := range outs {
+				outs[v].credits = ejectionCredits
 			}
 			r.pipes[p] = sim.NewDelayLine[Flit](cfg.Delay)
 		default:
 			link := t.LinkAt(id, p)
 			if link.Connected() {
-				for v := range r.out[p] {
-					r.out[p][v].credits = cfg.BufDepth
+				for v := range outs {
+					outs[v].credits = cfg.BufDepth
 				}
 				r.pipes[p] = sim.NewDelayLine[Flit](cfg.Delay + link.Delay)
 				// Credits pay the reverse link plus one credit-processing
@@ -381,18 +403,13 @@ func (r *Router) SetWake(f func()) { r.wake = f }
 // flits across every input VC. It walks all buffers, so it is meant for
 // sampling-time use, not the per-cycle path.
 func (r *Router) SampleVCOccupancy() (avg float64, max int) {
-	vcs := 0
-	for p := 0; p < r.ports; p++ {
-		for v := 0; v < r.cfg.VCs; v++ {
-			n := r.in[p][v].buf.Len()
-			if n > max {
-				max = n
-			}
-			vcs++
+	for i := range r.in {
+		if n := r.in[i].buf.Len(); n > max {
+			max = n
 		}
 	}
-	if vcs > 0 {
-		avg = float64(r.occupancy) / float64(vcs)
+	if len(r.in) > 0 {
+		avg = float64(r.occupancy) / float64(len(r.in))
 	}
 	return avg, max
 }
@@ -431,17 +448,18 @@ func (r *Router) AcceptFlit(port, vc int, f Flit) {
 		r.awake = true
 		r.wake()
 	}
-	if !r.in[port][vc].buf.Push(f) {
+	flat := port*r.cfg.VCs + vc
+	if !r.in[flat].buf.Push(f) {
 		panic(fmt.Sprintf("router %d: input buffer overflow at port %d vc %d", r.ID, port, vc))
 	}
 	r.occupancy++
-	r.occMask |= 1 << uint(port*r.cfg.VCs+vc)
+	r.occMask |= 1 << uint(flat)
 }
 
 // CanAcceptInjection reports whether the injection buffer (local port,
 // VC 0) has space for another flit.
 func (r *Router) CanAcceptInjection() bool {
-	return !r.in[r.topo.LocalPort()][0].buf.Full()
+	return !r.in[r.local*r.cfg.VCs].buf.Full()
 }
 
 // InjectionVC returns the VC index injected flits enter: a single FIFO
@@ -454,7 +472,7 @@ func (r *Router) InjectionVC() int { return 0 }
 // high-priority injection. With one class this is CanAcceptInjection.
 func (r *Router) CanAcceptInjectionClass(qc int) bool {
 	lo, _ := r.qosRange(qc)
-	return !r.in[r.topo.LocalPort()][lo].buf.Full()
+	return !r.in[r.local*r.cfg.VCs+lo].buf.Full()
 }
 
 // InjectionVCClass returns the VC index class qc's injected flits enter:
@@ -558,7 +576,7 @@ func (r *Router) drainCredits(now int64) {
 				if !ok {
 					break
 				}
-				r.out[p][vc].credits++
+				r.out[p*r.cfg.VCs+vc].credits++
 				r.pendingCredits--
 			}
 			if cp.Len() == 0 {
@@ -575,7 +593,7 @@ func (r *Router) drainCredits(now int64) {
 			if !ok {
 				break
 			}
-			r.out[p][vc].credits++
+			r.out[p*r.cfg.VCs+vc].credits++
 			r.pendingCredits--
 		}
 		if cp.Len() == 0 {
@@ -585,28 +603,27 @@ func (r *Router) drainCredits(now int64) {
 }
 
 // routeCompute fills in candidates for every input VC whose front flit is
-// an unrouted head. Only non-empty VCs can hold one, so the mask path
-// visits exactly the occupied VCs, in the same ascending (port, vc) order
-// as the full scan.
+// an unrouted head. A VC's front packet is routed exactly while its bit is
+// set in reqMask or gntMask, so the mask path visits only the occupied VCs
+// outside both — near saturation most occupied VCs hold routed packets
+// waiting for an output — in the same ascending (port, vc) order as the
+// full scan.
 func (r *Router) routeCompute(now int64) {
 	if r.maskHot {
-		for m := r.occMask; m != 0; m &= m - 1 {
-			flat := bits.TrailingZeros64(m)
-			r.routeVC(now, flat/r.cfg.VCs, flat%r.cfg.VCs)
+		for m := r.occMask &^ (r.reqMask | r.gntMask); m != 0; m &= m - 1 {
+			r.routeVC(now, bits.TrailingZeros64(m))
 		}
 		return
 	}
-	for p := 0; p < r.ports; p++ {
-		for v := 0; v < r.cfg.VCs; v++ {
-			r.routeVC(now, p, v)
-		}
+	for flat := range r.in {
+		r.routeVC(now, flat)
 	}
 }
 
-// routeVC routes the front packet of input VC (p, v) if it is an unrouted
+// routeVC routes the front packet of input VC flat if it is an unrouted
 // head flit.
-func (r *Router) routeVC(now int64, p, v int) {
-	ivc := r.in[p][v]
+func (r *Router) routeVC(now int64, flat int) {
+	ivc := &r.in[flat]
 	if ivc.routed {
 		return
 	}
@@ -619,7 +636,7 @@ func (r *Router) routeVC(now int64, p, v int) {
 		panic(fmt.Sprintf("router %d: no route for packet %d (dst %d)", r.ID, f.P.ID, f.P.Dst))
 	}
 	ivc.routed = true
-	r.reqMask |= 1 << uint(p*r.cfg.VCs+v)
+	r.reqMask |= 1 << uint(flat)
 	if r.tracer != nil {
 		r.tracer.Record(now, f.P.ID, r.ID, obs.PhaseRoute)
 	}
@@ -630,7 +647,7 @@ func (r *Router) routeVC(now int64, p, v int) {
 // free VC with the most credits among its candidates, which doubles as the
 // congestion-sensitive output selection of adaptive routing.
 func (r *Router) vcAllocate(now int64) {
-	total := r.ports * r.cfg.VCs
+	total := len(r.in)
 	if r.maskHot && r.cfg.Arb != AgeBased {
 		// Round robin over the request mask: bits >= vaPtr in ascending
 		// order, then the wrap-around below it — exactly the (vaPtr+i)%total
@@ -665,8 +682,7 @@ func (r *Router) vcAllocate(now int64) {
 		}
 		return
 	}
-	order := r.vaOrder()
-	for _, flat := range order {
+	for _, flat := range r.vaOrder() {
 		r.vaTryGrant(now, flat)
 	}
 	r.vaPtr = (r.vaPtr + 1) % total
@@ -675,19 +691,21 @@ func (r *Router) vcAllocate(now int64) {
 // vaTryGrant gives input VC flat the free candidate output VC with the
 // most credits, if it is requesting and one is available.
 func (r *Router) vaTryGrant(now int64, flat int) {
-	p, v := flat/r.cfg.VCs, flat%r.cfg.VCs
-	ivc := r.in[p][v]
+	ivc := &r.in[flat]
 	if !ivc.routed || ivc.granted {
 		return
 	}
+	vcs := r.cfg.VCs
+	p := flat / vcs
 	// The packet's QoS class is static per input VC (see vcQoS); its
 	// output-VC candidates come from the matching partition downstream.
-	qc := int(r.vcQoS[v])
+	ranges := r.vcRanges[int(r.vcQoS[flat-p*vcs])*(r.numClasses+1):]
 	bestPort, bestVC, bestClass, bestCred := -1, -1, routing.AnyClass, -1
 	for _, c := range ivc.cands {
-		lo, hi := r.classRange(qc, c.Class)
-		for ov := lo; ov < hi; ov++ {
-			o := &r.out[c.Port][ov]
+		rg := ranges[c.Class+1]
+		outs := r.out[c.Port*vcs:]
+		for ov := rg.lo; ov < rg.hi; ov++ {
+			o := &outs[ov]
 			if o.owned {
 				continue
 			}
@@ -699,7 +717,7 @@ func (r *Router) vaTryGrant(now int64, flat int) {
 	if bestPort >= 0 {
 		ivc.granted = true
 		ivc.outPort, ivc.outVC, ivc.outClass = bestPort, bestVC, bestClass
-		r.out[bestPort][bestVC].owned = true
+		r.out[bestPort*vcs+bestVC].owned = true
 		r.reqMask &^= 1 << uint(flat)
 		r.gntMask |= 1 << uint(flat)
 		r.gntPorts |= 1 << uint(p)
@@ -711,38 +729,37 @@ func (r *Router) vaTryGrant(now int64, flat int) {
 	}
 }
 
+// vaReq is one age-ordered VC allocation request (see vaOrder).
+type vaReq struct {
+	flat int
+	qc   int8
+	age  int64
+}
+
 // vaOrder returns the order in which VC allocation requests are served.
 // The returned slice is scratch storage reused across cycles.
 func (r *Router) vaOrder() []int {
-	total := r.ports * r.cfg.VCs
+	total := len(r.in)
 	order := r.vaScratch[:0]
-	defer func() { r.vaScratch = order[:0] }()
 	if r.cfg.Arb == AgeBased {
 		// Oldest front packet first (insertion sort; total is small).
 		// Under strict priority the key is (class, age): all class-0
 		// requests precede class 1, age ordering within each class.
-		type req struct {
-			flat int
-			qc   int8
-			age  int64
-		}
-		reqs := make([]req, 0, total)
-		for p := 0; p < r.ports; p++ {
-			for v := 0; v < r.cfg.VCs; v++ {
-				ivc := r.in[p][v]
-				if !ivc.routed || ivc.granted {
-					continue
-				}
-				f, ok := ivc.buf.Peek()
-				if !ok {
-					continue
-				}
-				q := req{flat: p*r.cfg.VCs + v, age: f.P.CreateTime}
-				if r.strict {
-					q.qc = r.vcQoS[v]
-				}
-				reqs = append(reqs, q)
+		reqs := r.vaReqs[:0]
+		for flat := range r.in {
+			ivc := &r.in[flat]
+			if !ivc.routed || ivc.granted {
+				continue
 			}
+			f, ok := ivc.buf.Peek()
+			if !ok {
+				continue
+			}
+			q := vaReq{flat: flat, age: f.P.CreateTime}
+			if r.strict {
+				q.qc = r.vcQoS[flat%r.cfg.VCs]
+			}
+			reqs = append(reqs, q)
 		}
 		for i := 1; i < len(reqs); i++ {
 			for j := i; j > 0 && (reqs[j].qc < reqs[j-1].qc ||
@@ -753,9 +770,8 @@ func (r *Router) vaOrder() []int {
 		for _, q := range reqs {
 			order = append(order, q.flat)
 		}
-		return order
-	}
-	if r.strict {
+		r.vaReqs = reqs[:0]
+	} else if r.strict {
 		// Class-major rotation: class 0's requests in (vaPtr+i)%total
 		// order, then class 1's, and so on.
 		for qc := int8(0); int(qc) < r.qos; qc++ {
@@ -766,11 +782,12 @@ func (r *Router) vaOrder() []int {
 				}
 			}
 		}
-		return order
+	} else {
+		for i := 0; i < total; i++ {
+			order = append(order, (r.vaPtr+i)%total)
+		}
 	}
-	for i := 0; i < total; i++ {
-		order = append(order, (r.vaPtr+i)%total)
-	}
+	r.vaScratch = order[:0]
 	return order
 }
 
@@ -835,12 +852,15 @@ func (r *Router) switchAllocate(now int64) {
 // ports that could not match, so matching — and therefore every forward —
 // is bit-identical to the legacy path.
 func (r *Router) switchAllocateMask(now int64, iters int) {
+	// Class-blind round robin picks each stage-2 winner straight from the
+	// output's requester mask; strict priority and age keep the port scan.
+	rotate := !r.strict && r.cfg.Arb != AgeBased
 	var inMatched, outMatched uint64
 	for it := 0; it < iters; it++ {
 		// Stage 1: each unmatched input port with a granted VC nominates
 		// one ready VC. nom records which saInWin entries are live this
 		// iteration; entries of non-nominating ports are stale and must
-		// never be read.
+		// never be read. saReq[outP] gathers the nominations per output.
 		var targets, nom uint64
 		for m := r.gntPorts &^ inMatched; m != 0; m &= m - 1 {
 			p := bits.TrailingZeros64(m)
@@ -848,16 +868,22 @@ func (r *Router) switchAllocateMask(now int64, iters int) {
 			if v >= 0 {
 				r.saInWin[p] = v
 				nom |= 1 << uint(p)
-				targets |= 1 << uint(r.in[p][v].outPort)
+				outP := r.in[p*r.cfg.VCs+v].outPort
+				targets |= 1 << uint(outP)
+				r.saReq[outP] |= 1 << uint(p)
 			}
 		}
 		// Stage 2: each unmatched targeted output picks one nominating
-		// input, in ascending output-port order.
+		// input, in ascending output-port order. Every input nominates a
+		// single output, so an input matched earlier in this stage never
+		// appears in a later output's saReq.
 		progress := false
 		for t := targets &^ outMatched; t != 0; t &= t - 1 {
 			outP := bits.TrailingZeros64(t)
-			win := r.pickInputPortMask(outP, nom)
-			if win < 0 {
+			var win int
+			if rotate {
+				win = firstFrom(r.saReq[outP], r.saOutPtr[outP])
+			} else if win = r.pickInputPortMask(outP, nom); win < 0 {
 				continue
 			}
 			r.forward(now, win, r.saInWin[win])
@@ -866,10 +892,23 @@ func (r *Router) switchAllocateMask(now int64, iters int) {
 			outMatched |= 1 << uint(outP)
 			progress = true
 		}
+		for t := targets; t != 0; t &= t - 1 {
+			r.saReq[bits.TrailingZeros64(t)] = 0
+		}
 		if !progress {
 			break
 		}
 	}
+}
+
+// firstFrom returns the first set bit of the nonzero mask m met by a
+// round-robin scan starting at bit from: the lowest set bit >= from, else
+// the lowest set bit overall.
+func firstFrom(m uint64, from int) int {
+	if hi := m >> uint(from) << uint(from); hi != 0 {
+		return bits.TrailingZeros64(hi)
+	}
+	return bits.TrailingZeros64(m)
 }
 
 // pickInputVC returns the index of the VC at input port p that wins the
@@ -878,8 +917,29 @@ func (r *Router) switchAllocateMask(now int64, iters int) {
 // age) breaks ties within the winning class.
 func (r *Router) pickInputVC(p int) int {
 	v := r.cfg.VCs
-	if r.maskHot && r.gntMask>>uint(p*v)&(uint64(1)<<uint(v)-1) == 0 {
-		return -1 // no VC of this port holds a grant, so none is ready
+	base := p * v
+	if r.maskHot {
+		// A VC can be ready only while it holds a grant and a flit.
+		ready := (r.gntMask & r.occMask) >> uint(base) & (uint64(1)<<uint(v) - 1)
+		if ready == 0 {
+			return -1
+		}
+		if !r.strict && r.cfg.Arb != AgeBased {
+			// Round robin: the first ready VC with a downstream credit in
+			// rotation order from saInPtr, as the scan below would find.
+			from := r.saInPtr[p]
+			for m := ready >> uint(from) << uint(from); m != 0; m &= m - 1 {
+				if cand := bits.TrailingZeros64(m); r.hasCredit(base + cand) {
+					return cand
+				}
+			}
+			for m := ready & (uint64(1)<<uint(from) - 1); m != 0; m &= m - 1 {
+				if cand := bits.TrailingZeros64(m); r.hasCredit(base + cand) {
+					return cand
+				}
+			}
+			return -1
+		}
 	}
 	best := -1
 	bestClass := int8(127)
@@ -889,7 +949,7 @@ func (r *Router) pickInputVC(p int) int {
 		if cand >= v {
 			cand -= v
 		}
-		ivc := r.in[p][cand]
+		ivc := &r.in[base+cand]
 		if !ivc.granted {
 			continue
 		}
@@ -897,7 +957,7 @@ func (r *Router) pickInputVC(p int) int {
 		if !ok {
 			continue
 		}
-		if r.out[ivc.outPort][ivc.outVC].credits <= 0 {
+		if !r.hasCredit(base + cand) {
 			continue
 		}
 		if r.strict {
@@ -927,12 +987,17 @@ func (r *Router) pickInputVC(p int) int {
 	return best
 }
 
-// pickInputPort returns the input port whose nominated flit wins output
-// port outP this cycle, or -1.
-// pickInputPortMask is pickInputPort for the mask fast path: nom marks the
-// input ports whose saInWin entry is a live nomination from the current
-// stage 1; all other entries are stale and skipped. The round-robin visit
-// order is unchanged.
+// hasCredit reports whether granted input VC flat's output VC has a free
+// downstream buffer slot.
+func (r *Router) hasCredit(flat int) bool {
+	ivc := &r.in[flat]
+	return r.out[ivc.outPort*r.cfg.VCs+ivc.outVC].credits > 0
+}
+
+// pickInputPortMask is pickInputPort for the mask fast path under strict
+// priority or age-based arbitration: nom marks the input ports whose
+// saInWin entry is a live nomination from the current stage 1; all other
+// entries are stale and skipped. The visit order is unchanged.
 func (r *Router) pickInputPortMask(outP int, nom uint64) int {
 	best := -1
 	bestClass := int8(127)
@@ -945,7 +1010,7 @@ func (r *Router) pickInputPortMask(outP int, nom uint64) int {
 		if nom&(1<<uint(cand)) == 0 {
 			continue
 		}
-		ivc := r.in[cand][r.saInWin[cand]]
+		ivc := &r.in[cand*r.cfg.VCs+r.saInWin[cand]]
 		if ivc.outPort != outP {
 			continue
 		}
@@ -977,6 +1042,8 @@ func (r *Router) pickInputPortMask(outP int, nom uint64) int {
 	return best
 }
 
+// pickInputPort returns the input port whose nominated flit wins output
+// port outP this cycle, or -1.
 func (r *Router) pickInputPort(outP int) int {
 	best := -1
 	bestClass := int8(127)
@@ -990,7 +1057,7 @@ func (r *Router) pickInputPort(outP int) int {
 		if v < 0 {
 			continue
 		}
-		ivc := r.in[cand][v]
+		ivc := &r.in[cand*r.cfg.VCs+v]
 		if ivc.outPort != outP {
 			continue
 		}
@@ -1026,18 +1093,19 @@ func (r *Router) pickInputPort(outP int) int {
 // forward moves the winning flit from input (p, v) into its output
 // pipeline, maintaining credits, ownership and routing state.
 func (r *Router) forward(now int64, p, v int) {
-	ivc := r.in[p][v]
+	flat := p*r.cfg.VCs + v
+	ivc := &r.in[flat]
 	f, _ := ivc.buf.Pop()
 	r.occupancy--
 	if ivc.buf.Len() == 0 {
-		r.occMask &^= 1 << uint(p*r.cfg.VCs+v)
+		r.occMask &^= 1 << uint(flat)
 	}
 	r.FlitsRouted++
 	outP, outV := ivc.outPort, ivc.outVC
+	o := &r.out[outP*r.cfg.VCs+outV]
 
-	local := r.topo.LocalPort()
-	if outP != local {
-		r.out[outP][outV].credits--
+	if outP != r.local {
+		o.credits--
 		if f.Head() {
 			r.alg.Committed(r.topo, &f.P.Route, ivc.outClass)
 			f.P.Route.Traverse(r.topo.LinkAt(r.ID, outP))
@@ -1066,9 +1134,9 @@ func (r *Router) forward(now int64, p, v int) {
 	}
 
 	if f.Tail() {
-		r.out[outP][outV].owned = false
+		o.owned = false
 		ivc.reset()
-		r.gntMask &^= 1 << uint(p*r.cfg.VCs+v)
+		r.gntMask &^= 1 << uint(flat)
 		if r.gntMask>>uint(p*r.cfg.VCs)&(uint64(1)<<uint(r.cfg.VCs)-1) == 0 {
 			r.gntPorts &^= 1 << uint(p)
 		}
@@ -1128,7 +1196,7 @@ func (r *Router) Kill(now int64, onFlit func(f Flit)) {
 	r.dead = true
 	for p := 0; p < r.ports; p++ {
 		for v := 0; v < r.cfg.VCs; v++ {
-			ivc := r.in[p][v]
+			ivc := &r.in[p*r.cfg.VCs+v]
 			for {
 				f, ok := ivc.buf.Pop()
 				if !ok {
@@ -1147,9 +1215,9 @@ func (r *Router) Kill(now int64, onFlit func(f Flit)) {
 		if cp := r.creditPipes[p]; cp != nil {
 			cp.Drain(func(int) {})
 		}
-		for v := range r.out[p] {
-			r.out[p][v].owned = false
-		}
+	}
+	for i := range r.out {
+		r.out[i].owned = false
 	}
 	r.occupancy, r.inFlight, r.pendingCredits = 0, 0, 0
 	r.occMask, r.reqMask, r.gntMask, r.gntPorts = 0, 0, 0, 0
@@ -1164,14 +1232,14 @@ func (r *Router) ReturnCredit(now int64, port, vc int) { r.receiveCredit(now, po
 
 // OutCredits returns the credit count of output VC (p, vc); invariant
 // checking compares it against the downstream buffer state.
-func (r *Router) OutCredits(p, vc int) int { return r.out[p][vc].credits }
+func (r *Router) OutCredits(p, vc int) int { return r.out[p*r.cfg.VCs+vc].credits }
 
 // OutOwned reports whether output VC (p, vc) is currently allocated to an
 // in-flight packet.
-func (r *Router) OutOwned(p, vc int) bool { return r.out[p][vc].owned }
+func (r *Router) OutOwned(p, vc int) bool { return r.out[p*r.cfg.VCs+vc].owned }
 
 // InBufLen returns the number of flits buffered in input VC (p, vc).
-func (r *Router) InBufLen(p, vc int) int { return r.in[p][vc].buf.Len() }
+func (r *Router) InBufLen(p, vc int) int { return r.in[p*r.cfg.VCs+vc].buf.Len() }
 
 // PipeFlitsVC counts the flits in output port p's pipeline traveling on
 // VC vc.
@@ -1214,14 +1282,14 @@ func (r *Router) StuckVCs() []StuckVC {
 	var out []StuckVC
 	for p := 0; p < r.ports; p++ {
 		for v := 0; v < r.cfg.VCs; v++ {
-			ivc := r.in[p][v]
+			ivc := &r.in[p*r.cfg.VCs+v]
 			if ivc.buf.Len() == 0 && !ivc.granted {
 				continue
 			}
 			s := StuckVC{Port: p, VC: v, Buffered: ivc.buf.Len(), Granted: ivc.granted}
 			if ivc.granted {
 				s.OutPort, s.OutVC = ivc.outPort, ivc.outVC
-				s.OutCredits = r.out[ivc.outPort][ivc.outVC].credits
+				s.OutCredits = r.OutCredits(ivc.outPort, ivc.outVC)
 			}
 			if f, ok := ivc.buf.Peek(); ok {
 				s.PacketID = f.P.ID

@@ -8,6 +8,15 @@ import (
 	"noceval/internal/topology"
 )
 
+// Flits expands a packet into its flit sequence.
+func Flits(p *Packet) []Flit {
+	fs := make([]Flit, p.Size)
+	for i := range fs {
+		fs[i] = Flit{P: p, Seq: int32(i)}
+	}
+	return fs
+}
+
 func TestConfigValidate(t *testing.T) {
 	topo := topology.NewTorus(4, 4)
 	good := Config{VCs: 4, BufDepth: 4, Delay: 1}

@@ -19,12 +19,14 @@ func NewFIFO[T any](hint int) *FIFO[T] {
 	return &FIFO[T]{buf: make([]T, hint)}
 }
 
-// NewBoundedFIFO returns a FIFO that holds at most cap items.
-func NewBoundedFIFO[T any](capacity int) *FIFO[T] {
+// MakeBoundedFIFO returns a FIFO that holds at most capacity items. It
+// returns the queue by value so owners can embed it (the router's input
+// VCs) instead of reaching it through a pointer.
+func MakeBoundedFIFO[T any](capacity int) FIFO[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &FIFO[T]{buf: make([]T, capacity), bounded: true}
+	return FIFO[T]{buf: make([]T, capacity), bounded: true}
 }
 
 // Len returns the number of queued items.
@@ -117,7 +119,7 @@ func (q *FIFO[T]) Clear() {
 // later. A zero delay makes items visible the same cycle they are pushed.
 type DelayLine[T any] struct {
 	delay int64
-	q     *FIFO[delayed[T]]
+	q     FIFO[delayed[T]] // by value: one pointer hop fewer per access
 	// headAt caches the delivery time of the head item (meaningless while
 	// empty), so polling a not-yet-ready line is a comparison rather than
 	// a queue peek. PopReady runs once per port per cycle on the
@@ -136,7 +138,7 @@ func NewDelayLine[T any](delay int64) *DelayLine[T] {
 	if delay < 0 {
 		delay = 0
 	}
-	return &DelayLine[T]{delay: delay, q: NewFIFO[delayed[T]](8)}
+	return &DelayLine[T]{delay: delay, q: FIFO[delayed[T]]{buf: make([]delayed[T], 8)}}
 }
 
 // Delay returns the line's latency in cycles.

@@ -199,7 +199,7 @@ func TestFIFOInterleavedPushPop(t *testing.T) {
 }
 
 func TestBoundedFIFO(t *testing.T) {
-	q := NewBoundedFIFO[int](3)
+	q := MakeBoundedFIFO[int](3)
 	for i := 0; i < 3; i++ {
 		if !q.Push(i) {
 			t.Fatalf("push %d rejected", i)
