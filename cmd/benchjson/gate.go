@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -73,18 +74,44 @@ func gate(current, baseline []Result, tol float64) (regs []Regression, onlyBase,
 	return regs, onlyBase, onlyCur
 }
 
+// hostWarning returns the gate's warning when the baseline was measured
+// on a different host than the current run, naming both, or "" when the
+// facts match. A difference never fails the gate: the numbers are still
+// compared, but the reader is told they may not compare like with like.
+func hostWarning(current, baseline Host) string {
+	if current == baseline {
+		return ""
+	}
+	return fmt.Sprintf("warning: baseline host differs from this host, so ns/op may not compare like with like\n  baseline: %s\n  current:  %s", baseline, current)
+}
+
+// readReport decodes a benchjson document. Documents written before host
+// facts were recorded are a bare result array and yield a zero Host.
+func readReport(data []byte) (Report, error) {
+	var rep Report
+	if bytes.HasPrefix(bytes.TrimSpace(data), []byte("[")) {
+		err := json.Unmarshal(data, &rep.Benchmarks)
+		return rep, err
+	}
+	err := json.Unmarshal(data, &rep)
+	return rep, err
+}
+
 // runGate loads the baseline, compares, prints the report to stderr, and
 // reports whether any benchmark regressed beyond the tolerance.
-func runGate(current []Result, baselinePath string, tol float64) (failed bool, err error) {
+func runGate(current Report, baselinePath string, tol float64) (failed bool, err error) {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return false, err
 	}
-	var baseline []Result
-	if err := json.Unmarshal(data, &baseline); err != nil {
+	baseline, err := readReport(data)
+	if err != nil {
 		return false, fmt.Errorf("benchjson: baseline %s: %w", baselinePath, err)
 	}
-	regs, onlyBase, onlyCur := gate(current, baseline, tol)
+	if w := hostWarning(current.Host, baseline.Host); w != "" {
+		fmt.Fprintln(os.Stderr, w)
+	}
+	regs, onlyBase, onlyCur := gate(current.Benchmarks, baseline.Benchmarks, tol)
 	for _, r := range regs {
 		status := "ok  "
 		if r.Exceeded {

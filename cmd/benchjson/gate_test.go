@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -85,5 +86,47 @@ func TestGateImprovementAndExactMatch(t *testing.T) {
 		if r.Exceeded {
 			t.Errorf("%s flagged as regression: %+v", r.Name, r)
 		}
+	}
+}
+
+func TestHostWarning(t *testing.T) {
+	here := Host{GOOS: "linux", GOARCH: "amd64", CPU: "Xeon A", Pkg: "noceval", GOMAXPROCS: 2}
+	other := func(f func(*Host)) Host { h := here; f(&h); return h }
+	cases := []struct {
+		name     string
+		baseline Host
+		warn     bool
+	}{
+		{"same host", here, false},
+		{"other cpu", other(func(h *Host) { h.CPU = "Epyc B" }), true},
+		{"other GOMAXPROCS", other(func(h *Host) { h.GOMAXPROCS = 8 }), true},
+		{"other arch", other(func(h *Host) { h.GOARCH = "arm64" }), true},
+		{"other os", other(func(h *Host) { h.GOOS = "darwin" }), true},
+		{"other package", other(func(h *Host) { h.Pkg = "noceval/internal/router" }), true},
+		{"baseline without host facts", Host{}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := hostWarning(here, c.baseline)
+			if (w != "") != c.warn {
+				t.Fatalf("hostWarning = %q, want warning %v", w, c.warn)
+			}
+			if c.warn && (!strings.Contains(w, c.baseline.String()) || !strings.Contains(w, here.String())) {
+				t.Errorf("warning %q does not name both hosts", w)
+			}
+		})
+	}
+}
+
+func TestReadReportBothFormats(t *testing.T) {
+	legacy := []byte(`[{"name": "BenchmarkA", "runs": 1, "iterations": 3, "ns_per_op": 10}]`)
+	rep, err := readReport(legacy)
+	if err != nil || len(rep.Benchmarks) != 1 || rep.Benchmarks[0].Name != "BenchmarkA" || rep.Host != (Host{}) {
+		t.Fatalf("legacy array: %+v, %v", rep, err)
+	}
+	cur := []byte(`{"host": {"goos": "linux", "gomaxprocs": 2}, "benchmarks": [{"name": "BenchmarkB", "ns_per_op": 5}]}`)
+	rep, err = readReport(cur)
+	if err != nil || len(rep.Benchmarks) != 1 || rep.Host != (Host{GOOS: "linux", GOMAXPROCS: 2}) {
+		t.Fatalf("report object: %+v, %v", rep, err)
 	}
 }

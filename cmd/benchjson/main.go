@@ -1,6 +1,8 @@
 // Command benchjson converts `go test -bench` text output into a stable
 // JSON document, so benchmark results can be archived next to figures and
-// diffed across commits without scraping text. Repeated runs of the same
+// diffed across commits without scraping text. The document records the
+// host facts go test prints (goos, goarch, cpu, pkg) and GOMAXPROCS next
+// to the results. Repeated runs of the same
 // benchmark (-count=N) are aggregated into one entry with their mean;
 // runs that disagree on the reported unit set are skipped with a warning
 // instead of averaged wrong.
@@ -8,7 +10,8 @@
 // With -baseline it additionally acts as the CI performance gate:
 // current results are compared against a committed baseline JSON and the
 // process exits nonzero when any benchmark's ns/op regressed more than
-// -tolerance (default 15%).
+// -tolerance (default 15%). It warns, naming both hosts, when the
+// baseline was recorded on a different host.
 //
 // Usage:
 //
@@ -42,7 +45,7 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	results, skipped, err := Parse(r)
+	rep, skipped, err := Parse(r)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -50,7 +53,7 @@ func main() {
 	for _, name := range skipped {
 		fmt.Fprintf(os.Stderr, "warning: %s skipped: its runs report different unit sets and cannot be averaged\n", name)
 	}
-	data, err := json.MarshalIndent(results, "", "  ")
+	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -65,10 +68,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d benchmarks to %s\n", len(results), *out)
+		fmt.Printf("wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 	}
 	if *baseline != "" {
-		failed, err := runGate(results, *baseline, *tolerance)
+		failed, err := runGate(rep, *baseline, *tolerance)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -8,6 +8,33 @@ import (
 	"strings"
 )
 
+// Report is the JSON document benchjson writes: the host the benchmarks
+// ran on and their aggregated results.
+type Report struct {
+	Host       Host     `json:"host"`
+	Benchmarks []Result `json:"benchmarks"`
+}
+
+// Host holds the facts go test prints before its results (goos, goarch,
+// cpu, pkg) plus GOMAXPROCS, read from the -N suffix of the result names
+// (go test omits the suffix when GOMAXPROCS is 1). A baseline measured on
+// a different host is not comparable like with like.
+type Host struct {
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	Pkg        string `json:"pkg,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+}
+
+// String renders the host in one line for gate warnings.
+func (h Host) String() string {
+	if h == (Host{}) {
+		return "unrecorded host"
+	}
+	return fmt.Sprintf("%s/%s, cpu %q, pkg %s, GOMAXPROCS=%d", h.GOOS, h.GOARCH, h.CPU, h.Pkg, h.GOMAXPROCS)
+}
+
 // Result is one benchmark, aggregated over its repeated runs (-count=N):
 // every per-op value is the mean across runs.
 type Result struct {
@@ -46,20 +73,36 @@ type accum struct {
 	mixed bool
 }
 
-// Parse reads `go test -bench` output and returns one aggregated Result
-// per benchmark name, in first-seen order, plus the names of benchmarks
+// Parse reads `go test -bench` output and returns its host facts and one
+// aggregated Result per benchmark name, in first-seen order, plus the
+// names of benchmarks
 // that were skipped because their repeated runs disagreed on the set of
 // reported units (e.g. a -benchmem run concatenated with a plain one) —
 // averaging across different unit sets would misreport every mean.
 // Non-benchmark lines (headers, PASS/ok trailers, benchstat noise) are
-// skipped.
-func Parse(r io.Reader) ([]Result, []string, error) {
+// skipped. A fact that differs between packages of one run (pkg, when
+// several packages were benchmarked) keeps each distinct value, comma-
+// separated in first-seen order.
+func Parse(r io.Reader) (Report, []string, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	acc := map[string]*accum{}
 	var order []string
+	var host Host
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		if k, v, ok := strings.Cut(line, ": "); ok {
+			switch k {
+			case "goos":
+				host.GOOS = addFact(host.GOOS, v)
+			case "goarch":
+				host.GOARCH = addFact(host.GOARCH, v)
+			case "cpu":
+				host.CPU = addFact(host.CPU, v)
+			case "pkg":
+				host.Pkg = addFact(host.Pkg, v)
+			}
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -68,10 +111,13 @@ func Parse(r io.Reader) ([]Result, []string, error) {
 		if len(fields) < 4 || len(fields)%2 != 0 {
 			continue
 		}
-		name := stripProcs(fields[0])
+		name, procs := splitProcs(fields[0])
 		iters, err := strconv.ParseFloat(fields[1], 64)
 		if err != nil {
 			continue
+		}
+		if host.GOMAXPROCS == 0 {
+			host.GOMAXPROCS = procs
 		}
 		units := unitSignature(fields)
 		a := acc[name]
@@ -108,7 +154,7 @@ func Parse(r io.Reader) ([]Result, []string, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("benchjson: %w", err)
+		return Report{}, nil, fmt.Errorf("benchjson: %w", err)
 	}
 	results := make([]Result, 0, len(order))
 	var skipped []string
@@ -140,7 +186,21 @@ func Parse(r io.Reader) ([]Result, []string, error) {
 		}
 		results = append(results, res)
 	}
-	return results, skipped, nil
+	return Report{Host: host, Benchmarks: results}, skipped, nil
+}
+
+// addFact appends v to a comma-separated fact list unless already listed.
+func addFact(list, v string) string {
+	v = strings.TrimSpace(v)
+	if list == "" {
+		return v
+	}
+	for _, have := range strings.Split(list, ",") {
+		if have == v {
+			return list
+		}
+	}
+	return list + "," + v
 }
 
 // unitSignature renders the ordered unit list of one result line
@@ -157,16 +217,17 @@ func unitSignature(fields []string) string {
 	return b.String()
 }
 
-// stripProcs removes the trailing -GOMAXPROCS suffix go test appends to
-// benchmark names ("BenchmarkFoo-8" -> "BenchmarkFoo"). Sub-benchmark
-// slashes are kept.
-func stripProcs(name string) string {
+// splitProcs removes the trailing -GOMAXPROCS suffix go test appends to
+// benchmark names ("BenchmarkFoo-8" -> "BenchmarkFoo", 8). Sub-benchmark
+// slashes are kept. A name without the suffix ran at GOMAXPROCS 1.
+func splitProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], procs
 }

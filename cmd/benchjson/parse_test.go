@@ -20,10 +20,15 @@ ok  	noceval	12.345s
 `
 
 func TestParse(t *testing.T) {
-	results, skipped, err := Parse(strings.NewReader(benchOutput))
+	rep, skipped, err := Parse(strings.NewReader(benchOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantHost := Host{GOOS: "linux", GOARCH: "amd64", CPU: "Some CPU @ 2.00GHz", Pkg: "noceval", GOMAXPROCS: 8}
+	if rep.Host != wantHost {
+		t.Errorf("host = %+v, want %+v", rep.Host, wantHost)
+	}
+	results := rep.Benchmarks
 	if len(skipped) != 0 {
 		t.Fatalf("skipped %v from consistent output", skipped)
 	}
@@ -67,12 +72,12 @@ func TestParse(t *testing.T) {
 }
 
 func TestParseEmpty(t *testing.T) {
-	results, skipped, err := Parse(strings.NewReader("PASS\nok noceval 0.1s\n"))
+	rep, skipped, err := Parse(strings.NewReader("PASS\nok noceval 0.1s\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 0 || len(skipped) != 0 {
-		t.Fatalf("parsed %d benchmarks (skipped %v) from empty output", len(results), skipped)
+	if len(rep.Benchmarks) != 0 || len(skipped) != 0 || rep.Host != (Host{}) {
+		t.Fatalf("parsed %d benchmarks (skipped %v, host %+v) from empty output", len(rep.Benchmarks), skipped, rep.Host)
 	}
 }
 
@@ -113,12 +118,12 @@ func TestParseMixedUnits(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			results, skipped, err := Parse(strings.NewReader(c.input))
+			rep, skipped, err := Parse(strings.NewReader(c.input))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var names []string
-			for _, r := range results {
+			for _, r := range rep.Benchmarks {
 				names = append(names, r.Name)
 			}
 			if !reflect.DeepEqual(names, c.wantNames) {
@@ -130,25 +135,44 @@ func TestParseMixedUnits(t *testing.T) {
 		})
 	}
 	// The clean benchmark's mean must come from its own runs only.
-	results, _, err := Parse(strings.NewReader(cases[0].input))
+	rep, _, err := Parse(strings.NewReader(cases[0].input))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 1 || results[0].NsPerOp != 60 {
-		t.Errorf("clean benchmark mean = %+v, want ns/op 60", results)
+	if len(rep.Benchmarks) != 1 || rep.Benchmarks[0].NsPerOp != 60 {
+		t.Errorf("clean benchmark mean = %+v, want ns/op 60", rep.Benchmarks)
 	}
 }
 
 func TestStripProcs(t *testing.T) {
-	cases := map[string]string{
-		"BenchmarkFoo-8":           "BenchmarkFoo",
-		"BenchmarkFoo":             "BenchmarkFoo",
-		"BenchmarkFoo/rate=0.5-16": "BenchmarkFoo/rate=0.5",
-		"BenchmarkFoo-bar":         "BenchmarkFoo-bar",
+	cases := []struct {
+		in    string
+		name  string
+		procs int
+	}{
+		{"BenchmarkFoo-8", "BenchmarkFoo", 8},
+		{"BenchmarkFoo", "BenchmarkFoo", 1},
+		{"BenchmarkFoo/rate=0.5-16", "BenchmarkFoo/rate=0.5", 16},
+		{"BenchmarkFoo-bar", "BenchmarkFoo-bar", 1},
 	}
-	for in, want := range cases {
-		if got := stripProcs(in); got != want {
-			t.Errorf("stripProcs(%q) = %q, want %q", in, got, want)
+	for _, c := range cases {
+		if name, procs := splitProcs(c.in); name != c.name || procs != c.procs {
+			t.Errorf("splitProcs(%q) = %q, %d; want %q, %d", c.in, name, procs, c.name, c.procs)
 		}
+	}
+}
+
+// TestParseHostFacts: the header facts of every benchmarked package are
+// kept, a repeated value once.
+func TestParseHostFacts(t *testing.T) {
+	in := "goos: linux\ngoarch: amd64\npkg: noceval\ncpu: A\nBenchmarkA-2 1 10 ns/op\n" +
+		"goos: linux\ngoarch: amd64\npkg: noceval/cmd/x\ncpu: A\nBenchmarkB-2 1 10 ns/op\n"
+	rep, _, err := Parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Host{GOOS: "linux", GOARCH: "amd64", CPU: "A", Pkg: "noceval,noceval/cmd/x", GOMAXPROCS: 2}
+	if rep.Host != want {
+		t.Errorf("host = %+v, want %+v", rep.Host, want)
 	}
 }

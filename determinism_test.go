@@ -8,6 +8,7 @@ import (
 
 	"noceval/internal/closedloop"
 	"noceval/internal/core"
+	"noceval/internal/fault"
 	"noceval/internal/network"
 	"noceval/internal/obs"
 	"noceval/internal/openloop"
@@ -286,6 +287,77 @@ func TestShardedRunModeDeterminism(t *testing.T) {
 			resSh := run(cfgSh)
 			if !reflect.DeepEqual(resSeq, resSh) {
 				t.Errorf("barrier results diverge:\nsequential: %+v\nsharded:    %+v", resSeq, resSh)
+			}
+		})
+	}
+}
+
+// TestBatchPinnedDeterminism pins closed-loop batch runs to values recorded
+// before the batch driver tracked eligible nodes in a bitset and kept
+// replies in a typed heap. The full-scan and active-set engine paths share
+// the driver, so the cross-engine tests above cannot see a driver change
+// that moves results; these pins can. The legs cover the sparse benchmark
+// batch (b=200, m=1, 1000-cycle replies), the kernel timer (which makes
+// nodes eligible again), m=4 with probabilistic replies (many equal reply
+// ready times, so heap tie order matters), and a lossy network whose
+// recovery NIC abandons transactions (the dead-drop path).
+func TestBatchPinnedDeterminism(t *testing.T) {
+	pins := []struct {
+		name      string
+		seed      uint64
+		runtime   int64
+		delivered int64
+		avgBits   uint64
+		failed    int64
+	}{
+		{"sparse/seed=1", 1, 206157, 25600, 0x402708947ae147ae, 0},
+		{"sparse/seed=2", 2, 206394, 25600, 0x402708e666666666, 0},
+		{"sparse/seed=3", 3, 206516, 25600, 0x402728e147ae147b, 0},
+		{"kernel-timer", 1, 34669, 25936, 0x4026ffaf242a5312, 0},
+		{"m=4", 1, 5062, 25600, 0x4027b7a8f5c28f5c, 0},
+		{"nic-faulted", 1, 8816, 12558, 0x403d342fc88d3aea, 160},
+	}
+	for _, pin := range pins {
+		t.Run(pin.name, func(t *testing.T) {
+			p := core.Baseline()
+			p.Seed = pin.seed
+			bc := closedloop.BatchConfig{
+				B: 200, M: 1, Seed: pin.seed,
+				Reply: closedloop.FixedReply{Latency: 1000},
+			}
+			switch pin.name {
+			case "kernel-timer":
+				bc.B, bc.M = 100, 2
+				bc.Reply = closedloop.FixedReply{Latency: 300}
+				bc.Kernel = &closedloop.KernelConfig{StaticFraction: 0.1, TimerPeriod: 700, TimerBatch: 2, KernelNAR: 0.5}
+			case "m=4":
+				bc.B, bc.M, bc.NAR = 200, 4, 0.3
+				bc.Reply = closedloop.ProbabilisticReply{L2Latency: 20, MemoryLatency: 300, MissRate: 0.1}
+			case "nic-faulted":
+				bc.B, bc.M = 100, 2
+				bc.Reply = closedloop.FixedReply{Latency: 50}
+				p.Fault = &fault.Params{DropRate: 0.02, Timeout: 200, MaxRetries: 1}
+			}
+			cfg, err := p.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bc.Net = cfg
+			bc.Pattern, _ = p.BuildPattern()
+			var delivered int64
+			bc.Inspect = func(n *network.Network) { _, delivered, _, _ = n.Stats() }
+			res, err := closedloop.RunBatch(bc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Completed {
+				t.Fatalf("batch run did not complete (stalled %v)", res.Stalled)
+			}
+			if res.Runtime != pin.runtime || delivered != pin.delivered ||
+				math.Float64bits(res.AvgPacketLatency) != pin.avgBits || res.FailedTransactions != pin.failed {
+				t.Errorf("batch run moved: runtime %d, delivered %d, mean latency %v (%#x), failed %d; want %d, %d, %v (%#x), %d",
+					res.Runtime, delivered, res.AvgPacketLatency, math.Float64bits(res.AvgPacketLatency), res.FailedTransactions,
+					pin.runtime, pin.delivered, math.Float64frombits(pin.avgBits), pin.avgBits, pin.failed)
 			}
 		})
 	}

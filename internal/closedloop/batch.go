@@ -1,9 +1,9 @@
 package closedloop
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"noceval/internal/engine"
@@ -171,23 +171,12 @@ type BatchResult struct {
 	Matrix   *stats.Heatmap
 }
 
-// replyEvent is a scheduled reply injection.
+// replyEvent is a scheduled reply injection, queued by its ready time.
 type replyEvent struct {
-	ready  int64
 	from   int // responder (request destination)
 	to     int // requester
-	size   int
 	kernel bool
 }
-
-// replyHeap is a min-heap of replyEvents ordered by ready time.
-type replyHeap []replyEvent
-
-func (h replyHeap) Len() int           { return len(h) }
-func (h replyHeap) Less(i, j int) bool { return h[i].ready < h[j].ready }
-func (h replyHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *replyHeap) Push(x any)        { *h = append(*h, x.(replyEvent)) }
-func (h *replyHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
 // nodeState tracks one terminal's progress through its batch.
 type nodeState struct {
@@ -214,9 +203,14 @@ type batchDriver struct {
 	rng   *sim.RNG
 	n     int
 	nodes []nodeState
+	// eligible has bit i set exactly while node i is unfinished, has
+	// pf < M and has a transaction left to send: the nodes that draw
+	// from the RNG in Cycle. Every change to those fields is followed by
+	// refresh(i), so Cycle visits only set bits and Idle is a word test.
+	eligible []uint64
 
 	timer   *sim.Ticker
-	replies *replyHeap
+	replies sim.EventHeap[replyEvent]
 	res     *BatchResult
 
 	userNAR, kernelNAR float64
@@ -251,7 +245,7 @@ func (d *batchDriver) countInjection(p *router.Packet) {
 }
 
 // sendRequest injects one request from node toward a pattern-drawn
-// destination.
+// destination and accounts it to the node.
 func (d *batchDriver) sendRequest(node int, kernel bool) {
 	dst := d.cfg.Pattern.Dest(d.rng, node, d.n)
 	p := d.net.NewPacket(node, dst, d.cfg.ReqSize, router.KindRequest)
@@ -261,7 +255,56 @@ func (d *batchDriver) sendRequest(node int, kernel bool) {
 	}
 	d.net.Send(p)
 	d.countInjection(p)
-	d.nodes[node].pf++
+	st := &d.nodes[node]
+	st.pf++
+	if kernel {
+		st.sentKernel++
+	} else {
+		st.sentUser++
+	}
+	d.refresh(node)
+}
+
+// refresh recomputes node i's eligible bit from its state.
+func (d *batchDriver) refresh(i int) {
+	st := &d.nodes[i]
+	bit := uint64(1) << uint(i&63)
+	if !st.finished && st.pf < d.cfg.M &&
+		(st.kernelTarget > st.sentKernel || st.target-st.kernelTarget > st.sentUser) {
+		d.eligible[i>>6] |= bit
+	} else {
+		d.eligible[i>>6] &^= bit
+	}
+}
+
+// nextEligible returns the lowest eligible node >= from, or -1. It reads
+// the live bitset, so a node that a callback makes eligible mid-sweep is
+// still visited in ascending order.
+func (d *batchDriver) nextEligible(from int) int {
+	for w := from >> 6; w < len(d.eligible); w++ {
+		m := d.eligible[w]
+		if w == from>>6 {
+			m &= ^uint64(0) << uint(from&63)
+		}
+		if m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	return -1
+}
+
+// complete records one closed transaction of node i (a reply, or a NIC
+// abandonment) and refreshes its eligibility.
+func (d *batchDriver) complete(now int64, i int) {
+	st := &d.nodes[i]
+	st.pf--
+	st.done++
+	if !st.finished && st.done >= st.target {
+		st.finished = true
+		st.finish = now
+		d.finished++
+	}
+	d.refresh(i)
 }
 
 // Cycle implements engine.Driver: timer interrupts, ready replies, request
@@ -275,13 +318,14 @@ func (d *batchDriver) Cycle(now int64) {
 			if !d.nodes[i].finished {
 				d.nodes[i].target += cfg.Kernel.TimerBatch
 				d.nodes[i].kernelTarget += cfg.Kernel.TimerBatch
+				d.refresh(i)
 			}
 		}
 	}
 	// Inject ready replies.
-	for d.replies.Len() > 0 && (*d.replies)[0].ready <= now {
-		ev := heap.Pop(d.replies).(replyEvent)
-		p := d.net.NewPacket(ev.from, ev.to, ev.size, router.KindReply)
+	for d.replies.Len() > 0 && d.replies.MinAt() <= now {
+		_, ev := d.replies.Pop()
+		p := d.net.NewPacket(ev.from, ev.to, cfg.ReplySize, router.KindReply)
 		p.Class = d.cfg.ReplyClass
 		if ev.kernel {
 			p.Aux = auxKernel
@@ -290,26 +334,15 @@ func (d *batchDriver) Cycle(now int64) {
 		d.countInjection(p)
 	}
 	// Generate requests: kernel work preempts user work, at most one
-	// new request per node per cycle, subject to the MSHR limit and
-	// the injection-model throttle.
-	for i := range d.nodes {
-		st := &d.nodes[i]
-		if st.finished || st.pf >= cfg.M {
-			continue
-		}
-		kernelRemaining := st.kernelTarget - st.sentKernel
-		userRemaining := (st.target - st.kernelTarget) - st.sentUser
-		switch {
-		case kernelRemaining > 0:
+	// new request per eligible node per cycle, in ascending node order;
+	// the injection-model throttle decides whether it is sent.
+	for i := d.nextEligible(0); i >= 0; i = d.nextEligible(i + 1) {
+		if st := &d.nodes[i]; st.kernelTarget > st.sentKernel {
 			if d.rng.Bernoulli(d.kernelNAR) {
 				d.sendRequest(i, true)
-				st.sentKernel++
 			}
-		case userRemaining > 0:
-			if d.rng.Bernoulli(d.userNAR) {
-				d.sendRequest(i, false)
-				st.sentUser++
-			}
+		} else if d.rng.Bernoulli(d.userNAR) {
+			d.sendRequest(i, false)
 		}
 	}
 	// Telemetry: per-node outstanding-request depth (the MSHR series),
@@ -335,17 +368,12 @@ func (d *batchDriver) Cycle(now int64) {
 // Done implements engine.Driver: every node has completed its batch.
 func (d *batchDriver) Done(int64) bool { return d.finished == d.n }
 
-// Idle implements engine.Driver: no node can attempt a request this cycle,
-// so Cycle draws nothing from the RNG and injects nothing until the next
-// scheduled event. This is exactly the eligibility condition of the
-// request-generation loop.
+// Idle implements engine.Driver: no node can attempt a request this cycle
+// (the eligible set is empty), so Cycle draws nothing from the RNG and
+// injects nothing until the next scheduled event.
 func (d *batchDriver) Idle(int64) bool {
-	for i := range d.nodes {
-		st := &d.nodes[i]
-		if st.finished || st.pf >= d.cfg.M {
-			continue
-		}
-		if st.kernelTarget > st.sentKernel || (st.target-st.kernelTarget) > st.sentUser {
+	for _, w := range d.eligible {
+		if w != 0 {
 			return false
 		}
 	}
@@ -358,7 +386,7 @@ func (d *batchDriver) Idle(int64) bool {
 func (d *batchDriver) NextEvent(int64) int64 {
 	next := engine.NoEvent
 	if d.replies.Len() > 0 {
-		next = (*d.replies)[0].ready
+		next = d.replies.MinAt()
 	}
 	if d.timer != nil {
 		if t := d.timer.Next(); t >= 0 && (next == engine.NoEvent || t < next) {
@@ -388,114 +416,8 @@ func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 	if err := cfg.Net.Validate(); err != nil {
 		return nil, err
 	}
-
-	net := network.New(cfg.Net)
-	n := net.Nodes()
-	rng := sim.NewRNG(cfg.Seed ^ 0xb5297a4d3f84d5b5)
-	replyRNG := rng.Split()
-
-	net.AttachObserver(cfg.Obs)
-	var latencyHist *obs.Histogram
-	var finishedGauge *obs.Gauge
-	var kernelCtr *obs.Counter
-	if cfg.Obs != nil {
-		latencyHist = cfg.Obs.Registry.Histogram("batch.packet_latency_cycles", 0, 1024, 64)
-		finishedGauge = cfg.Obs.Registry.Gauge("batch.finished_nodes")
-		kernelCtr = cfg.Obs.Registry.Counter("batch.kernel_packets")
-	}
-
-	nodes := make([]nodeState, n)
-	staticKernel := 0
-	if cfg.Kernel != nil && cfg.Kernel.StaticFraction > 0 {
-		staticKernel = int(cfg.Kernel.StaticFraction*float64(cfg.B) + 0.999999)
-	}
-	for i := range nodes {
-		nodes[i].target = cfg.B + staticKernel
-		nodes[i].kernelTarget = staticKernel
-	}
-
-	var timer *sim.Ticker
-	if cfg.Kernel != nil && cfg.Kernel.TimerPeriod > 0 && cfg.Kernel.TimerBatch > 0 {
-		timer = sim.NewTicker(cfg.Kernel.TimerPeriod, cfg.Kernel.TimerPeriod)
-	}
-
-	res := &BatchResult{NodeFinish: make([]int64, n)}
-	if cfg.CollectMatrix {
-		res.Matrix = stats.NewHeatmap(n, n)
-	}
-
-	userNAR := cfg.NAR
-	if userNAR <= 0 || userNAR > 1 {
-		userNAR = 1
-	}
-	kernelNAR := userNAR
-	if cfg.Kernel != nil && cfg.Kernel.KernelNAR > 0 {
-		kernelNAR = cfg.Kernel.KernelNAR
-	}
-
-	d := &batchDriver{
-		cfg:           &cfg,
-		net:           net,
-		rng:           rng,
-		n:             n,
-		nodes:         nodes,
-		timer:         timer,
-		replies:       &replyHeap{},
-		res:           res,
-		userNAR:       userNAR,
-		kernelNAR:     kernelNAR,
-		finishedGauge: finishedGauge,
-		kernelCtr:     kernelCtr,
-	}
-
-	net.OnReceive = func(now int64, p *router.Packet) {
-		d.latencySum += float64(p.Latency())
-		d.latencyCnt++
-		latencyHist.Observe(float64(p.Latency()))
-		switch p.Kind {
-		case router.KindRequest:
-			// Schedule the reply after the memory-model delay.
-			heap.Push(d.replies, replyEvent{
-				ready:  now + cfg.Reply.Delay(replyRNG),
-				from:   p.Dst,
-				to:     p.Src,
-				size:   cfg.ReplySize,
-				kernel: p.Aux&auxKernel != 0,
-			})
-		case router.KindReply:
-			st := &d.nodes[p.Dst]
-			st.pf--
-			st.done++
-			if !st.finished && st.done >= st.target {
-				st.finished = true
-				st.finish = now
-				d.finished++
-			}
-		}
-		net.Release(p)
-	}
-	// A transaction whose request or reply the NIC abandons will never see
-	// its reply: close it as failed so the requester's MSHR slot frees and
-	// the batch can still complete (gracefully degraded).
-	net.OnDeadDrop = func(now int64, p *router.Packet) {
-		var st *nodeState
-		switch p.Kind {
-		case router.KindRequest:
-			st = &d.nodes[p.Src]
-		case router.KindReply:
-			st = &d.nodes[p.Dst]
-		default:
-			return
-		}
-		st.pf--
-		st.done++
-		res.FailedTransactions++
-		if !st.finished && st.done >= st.target {
-			st.finished = true
-			st.finish = now
-			d.finished++
-		}
-	}
+	d := newBatch(&cfg)
+	net, n, nodes, res := d.net, d.n, d.nodes, d.res
 
 	net.SetFullScan(cfg.FullScan)
 	eo := engine.RunOutcome(engine.Config{
@@ -561,6 +483,106 @@ func RunBatch(cfg BatchConfig) (*BatchResult, error) {
 	}
 	net.Close()
 	return res, nil
+}
+
+// newBatch builds a validated configuration's network and driver, with
+// the network's receive and dead-drop callbacks wired to the driver.
+func newBatch(cfg *BatchConfig) *batchDriver {
+	net := network.New(cfg.Net)
+	n := net.Nodes()
+	rng := sim.NewRNG(cfg.Seed ^ 0xb5297a4d3f84d5b5)
+	replyRNG := rng.Split()
+
+	net.AttachObserver(cfg.Obs)
+	var latencyHist *obs.Histogram
+	var finishedGauge *obs.Gauge
+	var kernelCtr *obs.Counter
+	if cfg.Obs != nil {
+		latencyHist = cfg.Obs.Registry.Histogram("batch.packet_latency_cycles", 0, 1024, 64)
+		finishedGauge = cfg.Obs.Registry.Gauge("batch.finished_nodes")
+		kernelCtr = cfg.Obs.Registry.Counter("batch.kernel_packets")
+	}
+
+	nodes := make([]nodeState, n)
+	staticKernel := 0
+	if cfg.Kernel != nil && cfg.Kernel.StaticFraction > 0 {
+		staticKernel = int(cfg.Kernel.StaticFraction*float64(cfg.B) + 0.999999)
+	}
+	for i := range nodes {
+		nodes[i].target = cfg.B + staticKernel
+		nodes[i].kernelTarget = staticKernel
+	}
+
+	var timer *sim.Ticker
+	if cfg.Kernel != nil && cfg.Kernel.TimerPeriod > 0 && cfg.Kernel.TimerBatch > 0 {
+		timer = sim.NewTicker(cfg.Kernel.TimerPeriod, cfg.Kernel.TimerPeriod)
+	}
+
+	res := &BatchResult{NodeFinish: make([]int64, n)}
+	if cfg.CollectMatrix {
+		res.Matrix = stats.NewHeatmap(n, n)
+	}
+
+	userNAR := cfg.NAR
+	if userNAR <= 0 || userNAR > 1 {
+		userNAR = 1
+	}
+	kernelNAR := userNAR
+	if cfg.Kernel != nil && cfg.Kernel.KernelNAR > 0 {
+		kernelNAR = cfg.Kernel.KernelNAR
+	}
+
+	d := &batchDriver{
+		cfg:           cfg,
+		net:           net,
+		rng:           rng,
+		n:             n,
+		nodes:         nodes,
+		eligible:      make([]uint64, (n+63)/64),
+		timer:         timer,
+		res:           res,
+		userNAR:       userNAR,
+		kernelNAR:     kernelNAR,
+		finishedGauge: finishedGauge,
+		kernelCtr:     kernelCtr,
+	}
+	for i := range nodes {
+		d.refresh(i)
+	}
+
+	net.OnReceive = func(now int64, p *router.Packet) {
+		d.latencySum += float64(p.Latency())
+		d.latencyCnt++
+		latencyHist.Observe(float64(p.Latency()))
+		switch p.Kind {
+		case router.KindRequest:
+			// Schedule the reply after the memory-model delay.
+			d.replies.Push(now+cfg.Reply.Delay(replyRNG), replyEvent{
+				from:   p.Dst,
+				to:     p.Src,
+				kernel: p.Aux&auxKernel != 0,
+			})
+		case router.KindReply:
+			d.complete(now, p.Dst)
+		}
+		net.Release(p)
+	}
+	// A transaction whose request or reply the NIC abandons will never see
+	// its reply: close it as failed so the requester's MSHR slot frees and
+	// the batch can still complete (gracefully degraded).
+	net.OnDeadDrop = func(now int64, p *router.Packet) {
+		switch p.Kind {
+		case router.KindRequest:
+			d.complete(now, p.Src)
+		case router.KindReply:
+			d.complete(now, p.Dst)
+		default:
+			return
+		}
+		res.FailedTransactions++
+	}
+
+	return d
 }
 
 // stallDump renders the deadlock watchdog's diagnostic: which nodes are

@@ -1,7 +1,5 @@
 package cmp
 
-import "container/heap"
-
 // dirState is the directory's view of a line.
 type dirState uint8
 
@@ -42,25 +40,11 @@ type deferredMsg struct {
 	src int
 }
 
-// homeEvent is a scheduled L2/memory access completion.
+// homeEvent is a scheduled L2/memory access completion, queued by its
+// completion time.
 type homeEvent struct {
-	at   int64
 	tile int
 	line uint64
-}
-
-type homeEventHeap []homeEvent
-
-func (h homeEventHeap) Len() int           { return len(h) }
-func (h homeEventHeap) Less(i, j int) bool { return h[i].at < h[j].at }
-func (h homeEventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *homeEventHeap) Push(x any)        { *h = append(*h, x.(homeEvent)) }
-func (h *homeEventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
 }
 
 // DebugL2Miss, when non-nil, observes every L2-missing line address
@@ -213,7 +197,7 @@ func (h *home) fetchData(e *dirEntry, line uint64) {
 		lat += h.sys.cfg.MemLatency
 		h.l2.Insert(line, Shared)
 	}
-	heap.Push(&h.sys.events, homeEvent{at: h.sys.fabric.Now() + lat, tile: h.tile, line: line})
+	h.sys.events.Push(h.sys.fabric.Now()+lat, homeEvent{tile: h.tile, line: line})
 }
 
 // dataArrived is called when a scheduled L2/memory access completes.

@@ -132,9 +132,13 @@ type Fabric interface {
 	Now() int64
 	Quiescent() bool
 	SetOnReceive(fn network.Receiver)
+	// Release hands a delivered packet back for reuse once the receive
+	// callback is done with it (see network.Network.Release).
+	Release(p *router.Packet)
 }
 
-// NetFabric adapts network.Network to the Fabric interface.
+// NetFabric adapts network.Network to the Fabric interface; Release and
+// the rest come from the embedded network.
 type NetFabric struct{ *network.Network }
 
 // SetOnReceive implements Fabric.
@@ -188,3 +192,7 @@ func (f *IdealFabric) Quiescent() bool { return len(f.pending) == 0 }
 
 // SetOnReceive implements Fabric.
 func (f *IdealFabric) SetOnReceive(fn network.Receiver) { f.onReceive = fn }
+
+// Release implements Fabric. The ideal fabric recycles nothing: it
+// measures access rates, not simulator throughput.
+func (f *IdealFabric) Release(*router.Packet) {}

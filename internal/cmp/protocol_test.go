@@ -1,7 +1,6 @@
 package cmp
 
 import (
-	"container/heap"
 	"testing"
 
 	"noceval/internal/network"
@@ -25,6 +24,7 @@ func (f *stubFabric) Step()                            { f.now++ }
 func (f *stubFabric) Now() int64                       { return f.now }
 func (f *stubFabric) Quiescent() bool                  { return len(f.sent) == 0 }
 func (f *stubFabric) SetOnReceive(fn network.Receiver) { f.recv = fn }
+func (f *stubFabric) Release(*router.Packet)           {}
 
 // take removes and returns all packets sent so far.
 func (f *stubFabric) take() []*router.Packet {
@@ -72,8 +72,8 @@ func find(t *testing.T, pkts []*router.Packet, mt MsgType) *router.Packet {
 
 // drainEvents completes all scheduled home accesses immediately.
 func drainEvents(s *System) {
-	for len(s.events) > 0 {
-		ev := heap.Pop(&s.events).(homeEvent)
+	for s.events.Len() > 0 {
+		_, ev := s.events.Pop()
 		s.homes[ev.tile].dataArrived(ev.line)
 	}
 }
@@ -249,7 +249,7 @@ func TestEvictedOwnerAckTriggersL2Fallback(t *testing.T) {
 	find(t, fab.take(), MsgDowngrade)
 	// Owner already evicted the line: replies InvAck without data.
 	h.handle(Msg{Type: MsgInvAck, Line: testLine, Node: 2}, 1)
-	if len(sys.events) == 0 {
+	if sys.events.Len() == 0 {
 		t.Fatal("no L2 fallback scheduled")
 	}
 	drainEvents(sys)

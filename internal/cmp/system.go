@@ -1,12 +1,12 @@
 package cmp
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
 	"noceval/internal/engine"
 	"noceval/internal/router"
+	"noceval/internal/sim"
 	"noceval/internal/stats"
 )
 
@@ -130,7 +130,7 @@ type System struct {
 
 	tileArr []*tile
 	homes   []*home
-	events  homeEventHeap
+	events  sim.EventHeap[homeEvent]
 
 	// Barrier state.
 	barrierWaiting uint64
@@ -227,6 +227,8 @@ func (s *System) receive(now int64, p *router.Packet) {
 	default:
 		s.tileArr[p.Dst].handle(m, p.Src)
 	}
+	// The handlers read only Aux, Src and Dst, so nothing keeps p.
+	s.fabric.Release(p)
 }
 
 // enterBarrier records a core reaching the barrier; the last arrival
@@ -254,7 +256,7 @@ func (s *System) done() bool {
 			return false
 		}
 	}
-	return s.fabric.Quiescent() && len(s.events) == 0
+	return s.fabric.Quiescent() && s.events.Len() == 0
 }
 
 // Run executes the system to completion (or MaxCycles) and returns the
@@ -286,8 +288,8 @@ func (s *System) Cycle(now int64) {
 		}
 	}
 	// Completed home accesses.
-	for len(s.events) > 0 && s.events[0].at <= now {
-		ev := heap.Pop(&s.events).(homeEvent)
+	for s.events.Len() > 0 && s.events.MinAt() <= now {
+		_, ev := s.events.Pop()
 		s.homes[ev.tile].dataArrived(ev.line)
 	}
 	for _, t := range s.tileArr {

@@ -59,6 +59,13 @@ func (c Config) Validate() error {
 	return c.Router.Validate(c.Topo, c.Routing)
 }
 
+// downstream is one entry of Network.down.
+type downstream struct {
+	r    *router.Router
+	to   int
+	port int
+}
+
 // Receiver observes packets arriving at terminals. Arrival means the tail
 // flit reached the destination's ejection port.
 type Receiver func(now int64, pkt *router.Packet)
@@ -75,6 +82,10 @@ type Network struct {
 	// networks use srcQ[node][0] exactly as the classic single queue.
 	classes int
 	srcQ    [][]*sim.FIFO[router.Flit]
+	// down[id*Radix+p] is the router and input port that output port p of
+	// router id feeds, so the deliver phase hands a flit over without
+	// reading the topology's link table.
+	down []downstream
 
 	// OnReceive, when non-nil, is invoked for every packet that fully
 	// arrives at its destination terminal.
@@ -247,12 +258,15 @@ func New(cfg Config) *Network {
 		id := i
 		n.routers[i].SetWake(func() { n.markActive(id) })
 	}
-	// Wire upstream references for credit return.
+	// Wire upstream references for credit return, and the downstream
+	// table the deliver phase reads.
+	n.down = make([]downstream, t.N*t.Radix)
 	for i := 0; i < t.N; i++ {
 		for p := 0; p < t.Radix; p++ {
 			link := t.LinkAt(i, p)
 			if link.Connected() {
 				n.routers[link.To].SetUpstream(link.ToPort, n.routers[i], p)
+				n.down[i*t.Radix+p] = downstream{n.routers[link.To], link.To, link.ToPort}
 			}
 		}
 	}
@@ -662,11 +676,11 @@ func (n *Network) handleDelivered(now int64, id, p int, f router.Flit) {
 		n.ejectFlit(now, id, f)
 		return
 	}
-	link := t.LinkAt(id, p)
-	if n.faults != nil && n.faultOnLinkDelivery(now, id, p, f, link) {
+	if n.faults != nil && n.faultOnLinkDelivery(now, id, p, f, t.LinkAt(id, p)) {
 		return
 	}
-	n.routers[link.To].AcceptFlit(link.ToPort, int(f.VC), f)
+	d := &n.down[id*t.Radix+p]
+	d.r.AcceptFlit(d.port, int(f.VC), f)
 }
 
 // ejectFlit performs the terminal-arrival bookkeeping for one flit leaving

@@ -121,12 +121,12 @@ func (n *Network) deliverTileBuffered(now int64, ti int) {
 					t.ejectOut = append(t.ejectOut, ejectedFlit{id: id, f: f})
 					continue
 				}
-				link := topo.LinkAt(id, p)
-				if n.tileOf[link.To] != int32(ti) {
-					t.flitOut = append(t.flitOut, crossFlit{to: link.To, toPort: link.ToPort, f: f})
+				d := &n.down[id*topo.Radix+p]
+				if n.tileOf[d.to] != int32(ti) {
+					t.flitOut = append(t.flitOut, crossFlit{to: d.to, toPort: d.port, f: f})
 					continue
 				}
-				n.routers[link.To].AcceptFlit(link.ToPort, int(f.VC), f)
+				d.r.AcceptFlit(d.port, int(f.VC), f)
 			}
 		}
 	}

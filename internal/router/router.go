@@ -126,6 +126,11 @@ type inVC struct {
 	outVC    int
 	outClass int // routing class of the granted output VC
 	cands    []routing.Candidate
+	// port is the VC's input port and ranges the offset of its QoS
+	// class's block in Router.vcRanges; both are fixed at construction,
+	// so VC allocation reads them instead of dividing the flat index.
+	port   int
+	ranges int
 }
 
 // reset clears the front packet's allocation after its tail departs.
@@ -197,10 +202,17 @@ type Router struct {
 	// pipes[p] models the router pipeline plus the outgoing link of output
 	// port p: SA winners land here and emerge tr+linkDelay cycles later
 	// (tr only, for the ejection port).
-	pipes []*sim.DelayLine[Flit]
+	pipes []sim.DelayLine[Flit]
 	// creditPipes[p] carries credits returning from the downstream router
-	// attached to output port p (nil for ejection).
-	creditPipes []*sim.DelayLine[int]
+	// attached to output port p (unused for ejection).
+	creditPipes []sim.DelayLine[int]
+	// hasPipe has bit p set when output port p has a pipeline: the
+	// ejection port and every connected network port. Every port in it
+	// except the ejection port also has a credit pipe.
+	hasPipe uint64
+	// links[p] caches the topology's link out of connected network port
+	// p, which head flits traverse on the forward path.
+	links []topology.Link
 
 	up []upstreamRef
 
@@ -305,8 +317,9 @@ func New(id int, t *topology.Topology, alg routing.Algorithm, cfg Config) *Route
 		ports:       ports,
 		in:          make([]inVC, ports*cfg.VCs),
 		out:         make([]outVC, ports*cfg.VCs),
-		pipes:       make([]*sim.DelayLine[Flit], ports),
-		creditPipes: make([]*sim.DelayLine[int], ports),
+		pipes:       make([]sim.DelayLine[Flit], ports),
+		creditPipes: make([]sim.DelayLine[int], ports),
+		links:       make([]topology.Link, ports),
 		up:          make([]upstreamRef, ports),
 		saInPtr:     make([]int, ports),
 		saOutPtr:    make([]int, ports),
@@ -342,28 +355,39 @@ func New(id int, t *topology.Topology, alg routing.Algorithm, cfg Config) *Route
 			r.vcRanges = append(r.vcRanges, vcRange{lo, hi})
 		}
 	}
+	// Every input VC's candidate list is carved from one slab, sized for
+	// the most any built-in algorithm returns (one per dimension plus an
+	// escape hop), so routing a VC for the first time allocates nothing;
+	// a longer list still grows by append.
+	maxCands := t.Dims + 1
+	cands := make([]routing.Candidate, len(r.in)*maxCands)
 	for p := 0; p < ports; p++ {
 		outs := r.out[p*cfg.VCs : (p+1)*cfg.VCs]
 		for v := 0; v < cfg.VCs; v++ {
-			r.in[p*cfg.VCs+v].buf = sim.MakeBoundedFIFO[Flit](cfg.BufDepth)
+			flat := p*cfg.VCs + v
+			ivc := &r.in[flat]
+			ivc.cands = cands[flat*maxCands : flat*maxCands : (flat+1)*maxCands]
+			ivc.buf = sim.MakeBoundedFIFO[Flit](cfg.BufDepth)
+			ivc.port = p
+			ivc.ranges = int(r.vcQoS[v]) * (r.numClasses + 1)
 		}
 		switch {
 		case p == r.local:
 			for v := range outs {
 				outs[v].credits = ejectionCredits
 			}
-			r.pipes[p] = sim.NewDelayLine[Flit](cfg.Delay)
-		default:
-			link := t.LinkAt(id, p)
-			if link.Connected() {
-				for v := range outs {
-					outs[v].credits = cfg.BufDepth
-				}
-				r.pipes[p] = sim.NewDelayLine[Flit](cfg.Delay + link.Delay)
-				// Credits pay the reverse link plus one credit-processing
-				// cycle at the receiving router.
-				r.creditPipes[p] = sim.NewDelayLine[int](link.Delay + 1)
+			r.pipes[p] = sim.MakeDelayLine[Flit](cfg.Delay)
+			r.hasPipe |= 1 << uint(p)
+		case t.LinkAt(id, p).Connected():
+			r.links[p] = t.LinkAt(id, p)
+			for v := range outs {
+				outs[v].credits = cfg.BufDepth
 			}
+			r.pipes[p] = sim.MakeDelayLine[Flit](cfg.Delay + r.links[p].Delay)
+			// Credits pay the reverse link plus one credit-processing
+			// cycle at the receiving router.
+			r.creditPipes[p] = sim.MakeDelayLine[int](r.links[p].Delay + 1)
+			r.hasPipe |= 1 << uint(p)
 		}
 	}
 	return r
@@ -513,13 +537,14 @@ func (r *Router) receiveCredit(now int64, port, vc int) {
 // PopDelivery removes the flit, if any, emerging from output port p's
 // pipeline at cycle now.
 func (r *Router) PopDelivery(now int64, p int) (Flit, bool) {
-	if r.pipes[p] == nil || r.linkDown&(1<<uint(p)) != 0 {
+	if (r.hasPipe&^r.linkDown)&(1<<uint(p)) == 0 {
 		return Flit{}, false
 	}
-	f, ok := r.pipes[p].PopReady(now)
+	pp := &r.pipes[p]
+	f, ok := pp.PopReady(now)
 	if ok {
 		r.inFlight--
-		if r.pipes[p].Len() == 0 {
+		if pp.Len() == 0 {
 			r.pipeMask &^= 1 << uint(p)
 		}
 	}
@@ -567,10 +592,10 @@ func (r *Router) drainCredits(now int64) {
 	}
 	if !r.maskHot {
 		for p := 0; p < r.ports; p++ {
-			cp := r.creditPipes[p]
-			if cp == nil || r.linkDown&(1<<uint(p)) != 0 {
+			if p == r.local || (r.hasPipe&^r.linkDown)&(1<<uint(p)) == 0 {
 				continue
 			}
+			cp := &r.creditPipes[p]
 			for {
 				vc, ok := cp.PopReady(now)
 				if !ok {
@@ -587,7 +612,7 @@ func (r *Router) drainCredits(now int64) {
 	}
 	for m := r.creditMask &^ r.linkDown; m != 0; m &= m - 1 {
 		p := bits.TrailingZeros64(m)
-		cp := r.creditPipes[p]
+		cp := &r.creditPipes[p]
 		for {
 			vc, ok := cp.PopReady(now)
 			if !ok {
@@ -696,10 +721,10 @@ func (r *Router) vaTryGrant(now int64, flat int) {
 		return
 	}
 	vcs := r.cfg.VCs
-	p := flat / vcs
+	p := ivc.port
 	// The packet's QoS class is static per input VC (see vcQoS); its
 	// output-VC candidates come from the matching partition downstream.
-	ranges := r.vcRanges[int(r.vcQoS[flat-p*vcs])*(r.numClasses+1):]
+	ranges := r.vcRanges[ivc.ranges:]
 	bestPort, bestVC, bestClass, bestCred := -1, -1, routing.AnyClass, -1
 	for _, c := range ivc.cands {
 		rg := ranges[c.Class+1]
@@ -1108,7 +1133,7 @@ func (r *Router) forward(now int64, p, v int) {
 		o.credits--
 		if f.Head() {
 			r.alg.Committed(r.topo, &f.P.Route, ivc.outClass)
-			f.P.Route.Traverse(r.topo.LinkAt(r.ID, outP))
+			f.P.Route.Traverse(r.links[outP])
 			f.P.Hops++
 		}
 	}
@@ -1209,11 +1234,9 @@ func (r *Router) Kill(now int64, onFlit func(f Flit)) {
 			}
 			ivc.reset()
 		}
-		if pp := r.pipes[p]; pp != nil {
-			pp.Drain(func(f Flit) { onFlit(f) })
-		}
-		if cp := r.creditPipes[p]; cp != nil {
-			cp.Drain(func(int) {})
+		if r.hasPipe&(1<<uint(p)) != 0 {
+			r.pipes[p].Drain(func(f Flit) { onFlit(f) })
+			r.creditPipes[p].Drain(func(int) {})
 		}
 	}
 	for i := range r.out {
@@ -1244,9 +1267,6 @@ func (r *Router) InBufLen(p, vc int) int { return r.in[p*r.cfg.VCs+vc].buf.Len()
 // PipeFlitsVC counts the flits in output port p's pipeline traveling on
 // VC vc.
 func (r *Router) PipeFlitsVC(p, vc int) int {
-	if r.pipes[p] == nil {
-		return 0
-	}
 	n := 0
 	r.pipes[p].ForEach(func(f Flit) {
 		if int(f.VC) == vc {
@@ -1259,9 +1279,6 @@ func (r *Router) PipeFlitsVC(p, vc int) int {
 // CreditsInFlight counts the credits for VC vc queued in output port p's
 // credit pipe.
 func (r *Router) CreditsInFlight(p, vc int) int {
-	if r.creditPipes[p] == nil {
-		return 0
-	}
 	n := 0
 	r.creditPipes[p].ForEach(func(v int) {
 		if v == vc {

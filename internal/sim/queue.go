@@ -43,18 +43,29 @@ func (q *FIFO[T]) Full() bool { return q.bounded && q.n == len(q.buf) }
 // always accept and grow as needed.
 func (q *FIFO[T]) Push(v T) bool {
 	if q.n == len(q.buf) {
-		if q.bounded {
-			return false
-		}
-		q.grow()
+		return q.pushFull(v)
 	}
-	// head < len and n <= len, so a compare-and-subtract wraps the index
+	// head < len and n < len, so a compare-and-subtract wraps the index
 	// without the integer divide a % would cost on this hot path.
 	i := q.head + q.n
 	if i >= len(q.buf) {
 		i -= len(q.buf)
 	}
 	q.buf[i] = v
+	q.n++
+	return true
+}
+
+// pushFull is Push's slow path, kept out of line so Push inlines: a full
+// bounded FIFO rejects the item, a full unbounded one grows first.
+//
+//go:noinline
+func (q *FIFO[T]) pushFull(v T) bool {
+	if q.bounded {
+		return false
+	}
+	q.grow()
+	q.buf[q.n] = v // grow leaves head at 0 and free slots past n
 	q.n++
 	return true
 }
@@ -132,13 +143,15 @@ type delayed[T any] struct {
 	v  T
 }
 
-// NewDelayLine returns a delay line with the given latency in cycles.
-// Negative delays are treated as zero.
-func NewDelayLine[T any](delay int64) *DelayLine[T] {
+// MakeDelayLine returns a delay line with the given latency in cycles.
+// Negative delays are treated as zero. It returns the line by value so
+// owners can hold their lines in a slice (the router's output pipelines)
+// instead of reaching each through a pointer.
+func MakeDelayLine[T any](delay int64) DelayLine[T] {
 	if delay < 0 {
 		delay = 0
 	}
-	return &DelayLine[T]{delay: delay, q: FIFO[delayed[T]]{buf: make([]delayed[T], 8)}}
+	return DelayLine[T]{delay: delay, q: FIFO[delayed[T]]{buf: make([]delayed[T], 8)}}
 }
 
 // Delay returns the line's latency in cycles.

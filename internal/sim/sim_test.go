@@ -243,7 +243,7 @@ func TestFIFOPeekAtClear(t *testing.T) {
 }
 
 func TestDelayLineTiming(t *testing.T) {
-	d := NewDelayLine[int](3)
+	d := MakeDelayLine[int](3)
 	d.Push(10, 1)
 	for now := int64(10); now < 13; now++ {
 		if _, ok := d.PopReady(now); ok {
@@ -257,7 +257,7 @@ func TestDelayLineTiming(t *testing.T) {
 }
 
 func TestDelayLineFIFOOrder(t *testing.T) {
-	d := NewDelayLine[int](2)
+	d := MakeDelayLine[int](2)
 	d.Push(0, 1)
 	d.Push(1, 2)
 	if v, ok := d.PopReady(5); !ok || v != 1 {
